@@ -36,7 +36,6 @@ from .latency import (
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
-    integrate_semi_infinite,
     interference_tail_integral,
 )
 from .coverage import (
@@ -70,7 +69,6 @@ from .montecarlo import (
 )
 from .config import ConfigBundle, ConfigError, SweepSpec, parse_config
 from .sweep import run_sweep, rows_to_csv
-from .validation import run_validation
 
 __version__ = "0.1.0"
 
@@ -81,7 +79,7 @@ __all__ = [
     "n_shot_success", "protocol_delay_expected", "protocol_delay_sample",
     "retransmission_delay",
     "QuadratureConvergenceError", "QuadratureSpec",
-    "integrate_semi_infinite", "interference_tail_integral",
+    "interference_tail_integral",
     "InterfererDensities", "SuccessProbabilityResult",
     "dl_success_probability", "laplace_ul_from_dl_bs", "laplace_ul_from_ul_ue",
     "nearest_distance_pdf", "second_nearest_distance_pdf", "ul_success_probability",
@@ -92,3 +90,12 @@ __all__ = [
     "ConfigBundle", "ConfigError", "SweepSpec", "parse_config",
     "run_sweep", "rows_to_csv", "run_validation",
 ]
+
+
+def __getattr__(name):
+    # validation pulls in scipy.stats, which most entry points never need
+    if name == "run_validation":
+        from .validation import run_validation
+
+        return run_validation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

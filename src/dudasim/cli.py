@@ -25,7 +25,6 @@ from .latency import latency_duca, latency_duda
 from .montecarlo import run_campaign, run_synthetic_campaign, samples_csv
 from .params import LinkSuccess
 from .sweep import SweepRow, rows_to_csv, run_sweep
-from .validation import run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -168,6 +167,8 @@ def _cmd_sweep(args, bundle: ConfigBundle) -> int:
 
 
 def _cmd_validate(args, bundle: ConfigBundle) -> int:
+    from .validation import run_validation  # scipy.stats: imported only here
+
     report = run_validation(bundle)
     _emit(report.text(), args.out)
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILURE

@@ -126,12 +126,9 @@ def laplace_ul_from_dl_bs(
     """
     dens = InterfererDensities.from_params(params)
     kappa = params.p_b / params.p_m
-    inner = spec.tighter()
 
     def integrand(t: float) -> float:
-        tail = interference_tail_integral(
-            kappa, params.beta_u, r, params.alpha, t, inner
-        ).value
+        tail = interference_tail_integral(kappa, params.beta_u, r, params.alpha, t).value
         return math.exp(-2.0 * math.pi * dens.lambda_psi * tail) * second_nearest_distance_pdf(
             t, params.lambda_b
         )
@@ -140,55 +137,26 @@ def laplace_ul_from_dl_bs(
     return integrate_finite(integrand, 0.0, upper, spec).value
 
 
-def laplace_ul_from_ul_ue(
-    r: float, params: SystemParams, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def laplace_ul_from_ul_ue(r: float, params: SystemParams) -> float:
     """Laplace functional of UL-terminal interference at the serving BS of a
     typical UL link of distance r; interferers are excluded within r."""
     dens = InterfererDensities.from_params(params)
-    tail = interference_tail_integral(
-        1.0, params.beta_u, r, params.alpha, r, spec.tighter()
-    ).value
+    tail = interference_tail_integral(1.0, params.beta_u, r, params.alpha, r).value
     return math.exp(-2.0 * math.pi * dens.lambda_phi * tail)
 
 
-def _dl_laplace_product(r: float, params: SystemParams, spec: QuadratureSpec) -> float:
-    """Product of the two DL-side Laplace functionals at serving distance r."""
+def _dl_laplace_product(r: float, params: SystemParams) -> float:
+    """Product of the two DL-side Laplace functionals at serving distance r:
+    DL-BS interferers are excluded within r (none is closer than the serving
+    station), UL-terminal interferers are not excluded at all."""
     dens = InterfererDensities.from_params(params)
-    inner = spec.tighter()
-    tail_bs = interference_tail_integral(
-        1.0, params.beta_d, r, params.alpha, r, inner
-    ).value
+    tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r).value
     tail_ue = interference_tail_integral(
-        params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0, inner
+        params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0
     ).value
     return math.exp(
         -2.0 * math.pi * (dens.lambda_psi * tail_bs + dens.lambda_phi * tail_ue)
     )
-
-
-def laplace_dl_from_dl_bs(
-    r: float, params: SystemParams, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """Laplace functional of DL-BS interference at the typical terminal,
-    exclusion radius r (no BS interferer closer than the serving distance)."""
-    dens = InterfererDensities.from_params(params)
-    tail = interference_tail_integral(
-        1.0, params.beta_d, r, params.alpha, r, spec.tighter()
-    ).value
-    return math.exp(-2.0 * math.pi * dens.lambda_psi * tail)
-
-
-def laplace_dl_from_ul_ue(
-    r: float, params: SystemParams, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """Laplace functional of UL-terminal interference at the typical
-    terminal; no exclusion (interfering terminals may be arbitrarily close)."""
-    dens = InterfererDensities.from_params(params)
-    tail = interference_tail_integral(
-        params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0, spec.tighter()
-    ).value
-    return math.exp(-2.0 * math.pi * dens.lambda_phi * tail)
 
 
 def ul_success_probability(
@@ -205,7 +173,7 @@ def ul_success_probability(
     def integrand(r: float) -> float:
         val = (
             laplace_ul_from_dl_bs(r, params, spec)
-            * laplace_ul_from_ul_ue(r, params, spec)
+            * laplace_ul_from_ul_ue(r, params)
             * nearest_distance_pdf(r, params.lambda_b)
         )
         if include_noise:
@@ -230,7 +198,7 @@ def dl_success_probability(
     """
 
     def integrand(r: float) -> float:
-        val = _dl_laplace_product(r, params, spec) * second_nearest_distance_pdf(
+        val = _dl_laplace_product(r, params) * second_nearest_distance_pdf(
             r, params.lambda_b
         )
         if include_noise:

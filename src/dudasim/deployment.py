@@ -242,7 +242,9 @@ def _uniform_in_groups(
         if missing == 0:
             break
         cand = gen.uniform(-window_half_width, window_half_width, size=(batch, 2))
-        _, owner = tree.query(cand, workers=-1)
+        # one thread: a batch of 10 candidates per station is too small to repay
+        # starting worker threads
+        _, owner = tree.query(cand, workers=1)
         gids = group_of_bs[owner]
         uniq, first = np.unique(gids, return_index=True)
         fill = np.isnan(out[uniq, 0])

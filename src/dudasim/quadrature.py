@@ -1,37 +1,29 @@
-"""Numerical integration over semi-infinite domains.
+"""Closed-form interference tail, and adaptive quadrature for the outer
+expectations over link distance.
 
-The interference integrals this package needs share one kernel,
-
-    integral_a^inf  (c * x^(1-alpha)) / (1 + c * x^(-alpha)) dx
-      with c = kappa * beta * r^alpha,
-
-which decays polynomially (x^(1-alpha)) in the tail.  Semi-infinite domains
-are therefore handled with the algebraic change of variable
-
-    x = a + u / (1 - u),   u in [0, 1),
-
-followed by adaptive Gauss-Kronrod subdivision with an embedded error
-estimate (QUADPACK via scipy.integrate.quad), which resolves polynomial
-tails without arbitrary cutoffs.
+Every Laplace functional of a Poisson interference field reduces to one tail
+integral, a Gauss hypergeometric function (the rho(T, alpha) of Andrews,
+Baccelli and Ganti, IEEE TCOM 2011).  Its expectations over serving and
+exclusion distances run on QUADPACK (scipy.integrate.quad: adaptive
+Gauss-Kronrod with an error estimate) over truncated distance laws.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import hyp2f1
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrator.
-
-    ``tail_cutoff_mass`` bounds the probability mass discarded when a
-    density-weighted outer integral is truncated to a finite radius
-    (see the success-probability module).
-    """
+    """Tolerances and limits for the adaptive integrator; ``tail_cutoff_mass``
+    bounds the probability mass discarded when a density-weighted outer
+    integral is truncated to a finite radius (see the coverage module)."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -47,20 +39,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
         if not 0 < self.tail_cutoff_mass < 1e-6:
             raise ValueError("tail_cutoff_mass must lie in (0, 1e-6)")
-
-    def tighter(self, decades: int = 1) -> "QuadratureSpec":
-        """Spec with tolerances tightened by the given number of decades.
-
-        Used for inner integrals of nested quadratures so inner noise does
-        not defeat outer adaptivity.
-        """
-        f = 10.0 ** (-decades)
-        return QuadratureSpec(
-            rel_tol=self.rel_tol * f,
-            abs_tol=self.abs_tol * f,
-            max_subdivisions=self.max_subdivisions,
-            tail_cutoff_mass=self.tail_cutoff_mass,
-        )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -81,95 +59,31 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    a: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> IntegrationResult:
-    """Integrate f over [a, infinity).
-
-    f must be continuous and absolutely integrable on the domain.  Returns
-    the value together with the integrator's error estimate; raises
-    QuadratureConvergenceError if max_subdivisions is exhausted first.
-    """
-    if a < 0:
-        raise ValueError("lower bound must be non-negative")
-
-    def mapped(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        one_m = 1.0 - u
-        x = a + u / one_m
-        return f(x) / (one_m * one_m)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            mapped,
-            0.0,
-            1.0,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            full_output=1,
-        )
-    value, error = out[0], out[1]
-    if len(out) > 3:  # an explanation message is appended on failure
-        raise QuadratureConvergenceError(
-            "semi-infinite integral did not converge within max_subdivisions",
-            value,
-            error,
-        )
-    return IntegrationResult(value, error)
-
-
 def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> IntegrationResult:
-    """Adaptive integral of f over the finite interval [a, b] under the same
-    tolerance/error-reporting contract as integrate_semi_infinite."""
+    """Adaptive integral of f over [a, b] with its error estimate; raises
+    QuadratureConvergenceError if max_subdivisions is exhausted first."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            f,
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            full_output=1,
-        )
-    value, error = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureConvergenceError(
-            "finite integral did not converge within max_subdivisions", value, error
-        )
-    return IntegrationResult(value, error)
+        out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                   limit=spec.max_subdivisions, full_output=1)
+    if len(out) > 3:  # an explanation message is appended on failure
+        msg = "finite integral did not converge within max_subdivisions"
+        raise QuadratureConvergenceError(msg, out[0], out[1])
+    return IntegrationResult(out[0], out[1])
 
 
 def interference_tail_integral(
-    kappa: float,
-    beta: float,
-    r: float,
-    alpha: float,
-    a: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    kappa: float, beta: float, r: float, alpha: float, a: float
 ) -> IntegrationResult:
-    """Tail integral of the Rayleigh-fading interference kernel.
-
-    Computes  integral_a^inf  (c x^(-alpha)) / (1 + c x^(-alpha)) * x dx
-    with c = kappa*beta*r^alpha, where kappa is the interferer-to-signal
-    power ratio, beta the SINR threshold, r the serving-link distance and
-    a the interferer exclusion radius (a = 0 is allowed: the integrand is
-    bounded by x near the origin).
-
-    The computation is scale-normalized (x -> s0*y with s0 the larger of a
-    and c^(1/alpha)) so accuracy is relative across extreme parameter
-    magnitudes; the result scales back as s0^2.
-    """
+    """Interference tail  integral_a^inf c x^(1-alpha) / (1 + c x^-alpha) dx,
+    c = kappa*beta*r^alpha, for power ratio kappa, SINR threshold beta,
+    serving distance r and exclusion radius a >= 0.  With q = a / c^(1/alpha)
+    it equals, to rounding (error 0.0), c^(2/alpha) q^(2-alpha)/(alpha-2) *
+    2F1(1, 1-2/alpha; 2-2/alpha; -q^-alpha), or c^(2/alpha) (pi/alpha) /
+    sin(2 pi/alpha) at a = 0.  That a = 0 value is also used below q = 1e-8,
+    where q^-alpha may overflow; it is too big by at most a^2/2, relative q^2."""
     if alpha <= 2:
         raise ValueError("alpha must exceed 2 (tail integral diverges)")
     if kappa < 0 or beta < 0 or r < 0 or a < 0:
@@ -178,21 +92,9 @@ def interference_tail_integral(
     c = kappa * beta * r**alpha
     if c == 0.0:
         return IntegrationResult(0.0, 0.0)
-
-    s0 = max(a, c ** (1.0 / alpha))
-    cc = c / s0**alpha
-    aa = a / s0
-
-    def kernel(y: float) -> float:
-        return cc * y / (y**alpha + cc)
-
-    # Absolute tolerance is meaningless across these scales; divide it by the
-    # s0^2 scale factor so the effective control is the relative tolerance.
-    inner_spec = QuadratureSpec(
-        rel_tol=spec.rel_tol,
-        abs_tol=max(spec.abs_tol / (s0 * s0), 5e-300),
-        max_subdivisions=spec.max_subdivisions,
-        tail_cutoff_mass=spec.tail_cutoff_mass,
-    )
-    res = integrate_semi_infinite(kernel, aa, inner_spec)
-    return IntegrationResult(res.value * s0 * s0, res.error * s0 * s0)
+    scale, q = c ** (2.0 / alpha), a / c ** (1.0 / alpha)
+    if q < 1e-8:
+        return IntegrationResult(scale * (math.pi / alpha) / math.sin(2.0 * math.pi / alpha), 0.0)
+    b = 1.0 - 2.0 / alpha
+    f21 = hyp2f1(1.0, b, b + 1.0, -(q**-alpha))
+    return IntegrationResult(float(scale * q ** (2.0 - alpha) / (alpha - 2.0) * f21), 0.0)

@@ -8,8 +8,6 @@ from scipy.integrate import quad
 from dudasim.coverage import (
     InterfererDensities,
     dl_success_probability,
-    laplace_dl_from_dl_bs,
-    laplace_dl_from_ul_ue,
     laplace_ul_from_dl_bs,
     laplace_ul_from_ul_ue,
     nearest_distance_cdf,
@@ -20,7 +18,8 @@ from dudasim.coverage import (
     second_nearest_truncation_radius,
     ul_success_probability,
 )
-from dudasim.params import SystemParams
+from dudasim.params import SystemParams, db_to_linear
+from dudasim.quadrature import interference_tail_integral
 
 from helpers import (
     field_log_products,
@@ -31,6 +30,21 @@ from helpers import (
 
 TABLE = SystemParams()
 MEAN_LINK_DISTANCE = 0.5 / math.sqrt(TABLE.lambda_b)  # 7.071 m
+
+
+def dl_functionals(r, params):
+    """Laplace functionals of the two DL-side fields at the typical terminal,
+    exp(-2 pi lambda tail), at serving distance r: DL-BS interferers are
+    excluded within r, UL-terminal interferers are not excluded at all."""
+    dens = InterfererDensities.from_params(params)
+    tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r).value
+    tail_ue = interference_tail_integral(
+        params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0
+    ).value
+    return (
+        math.exp(-2 * math.pi * dens.lambda_psi * tail_bs),
+        math.exp(-2 * math.pi * dens.lambda_phi * tail_ue),
+    )
 
 
 class TestDensities:
@@ -86,8 +100,9 @@ class TestLaplaceLimits:
         r = MEAN_LINK_DISTANCE
         assert laplace_ul_from_dl_bs(r, p) == pytest.approx(1.0, abs=1e-6)
         assert laplace_ul_from_ul_ue(r, p) == pytest.approx(1.0, abs=1e-6)
-        assert laplace_dl_from_dl_bs(r, p) == pytest.approx(1.0, abs=1e-6)
-        assert laplace_dl_from_ul_ue(r, p) == pytest.approx(1.0, abs=1e-6)
+        dl_bs, dl_ue = dl_functionals(r, p)
+        assert dl_bs == pytest.approx(1.0, abs=1e-6)
+        assert dl_ue == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_field_is_transparent(self):
         p = replace(TABLE, lambda_b=1e-12)
@@ -104,9 +119,9 @@ class TestLaplaceLimits:
 
     def test_outputs_in_unit_interval_and_monotone(self):
         r = MEAN_LINK_DISTANCE
-        for fn in (laplace_ul_from_dl_bs, laplace_ul_from_ul_ue,
-                   laplace_dl_from_dl_bs, laplace_dl_from_ul_ue):
-            v = fn(r, TABLE)
+        values = (laplace_ul_from_dl_bs(r, TABLE), laplace_ul_from_ul_ue(r, TABLE),
+                  *dl_functionals(r, TABLE))
+        for v in values:
             assert 0.0 < v <= 1.0
         # non-increasing in the threshold
         lo = laplace_ul_from_ul_ue(r, replace(TABLE, beta_u=2.0))
@@ -170,14 +185,15 @@ class TestFieldOracles:
             rng, dens.lambda_psi, np.full(self.N_REAL, r), np.full(self.N_REAL, c_bs), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
-        assert abs(laplace_dl_from_dl_bs(r, TABLE) - mean) < max(3 * se, 1e-4)
+        dl_bs, dl_ue = dl_functionals(r, TABLE)
+        assert abs(dl_bs - mean) < max(3 * se, 1e-4)
 
         c_ue = (TABLE.p_m / TABLE.p_b) * TABLE.beta_d * r**TABLE.alpha
         logs = field_log_products(
             rng, dens.lambda_phi, np.zeros(self.N_REAL), np.full(self.N_REAL, c_ue), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
-        assert abs(laplace_dl_from_ul_ue(r, TABLE) - mean) < max(3 * se, 1e-4)
+        assert abs(dl_ue - mean) < max(3 * se, 1e-4)
 
 
 @pytest.mark.slow
@@ -228,12 +244,15 @@ class TestSuccessProbabilityShape:
         assert doubled < base
 
     def test_monotone_in_density(self):
+        # Without noise the model is scale-invariant: every distance law and
+        # interferer density scales with lambda_b, so both probabilities are
+        # independent of it (monotone only in the weak sense, with equality).
         base = ul_success_probability(TABLE).value
-        denser = ul_success_probability(replace(TABLE, lambda_b=0.01)).value
-        assert denser < base
         base_d = dl_success_probability(TABLE).value
-        denser_d = dl_success_probability(replace(TABLE, lambda_b=0.01)).value
-        assert denser_d < base_d
+        for lam in (0.0025, 0.01, 0.02):
+            p = replace(TABLE, lambda_b=lam)
+            assert ul_success_probability(p).value == pytest.approx(base, rel=1e-12, abs=0.0)
+            assert dl_success_probability(p).value == pytest.approx(base_d, rel=1e-12, abs=0.0)
 
     def test_silent_terminals_help_dl(self):
         base = dl_success_probability(TABLE).value
@@ -242,7 +261,7 @@ class TestSuccessProbabilityShape:
         # with terminals silenced, only the BS field attenuates
         dens = InterfererDensities.from_params(TABLE)
         want, _ = quad(
-            lambda r: laplace_dl_from_dl_bs(r, TABLE)
+            lambda r: dl_functionals(r, TABLE)[0]
             * second_nearest_distance_pdf(r, TABLE.lambda_b),
             0.0,
             second_nearest_truncation_radius(TABLE.lambda_b, 1e-9),
@@ -263,3 +282,39 @@ class TestSuccessProbabilityShape:
         # oracles above)
         assert ul_success_probability(TABLE).value == pytest.approx(0.2615106, abs=2e-6)
         assert dl_success_probability(TABLE).value == pytest.approx(0.8353827, abs=2e-6)
+
+
+class TestHighPrecisionOracle:
+    """Success probabilities at small and large path-loss exponents, noise
+    off, against 30-digit mpmath values copied from the benchmark's
+    perfbench/refs.json (written by `perfbench/make_refs.py analytic`): the
+    DL probability in closed form, 1/(1+K)^2 in u = pi lambda r^2; the UL
+    probability as a tanh-sinh double integral over the serving and partner
+    distances; the interference tail as the 2F1 closed form; no truncation
+    of the outer laws.  Parameters are the standard table with alpha and
+    beta_u changed."""
+
+    RHO_U = {  # alpha -> {beta_u_db: rho_u}
+        2.05: {-5: 0.003599945886739409, 5: 0.00038187221856424917},
+        2.5: {-5: 0.06703219332470597, 5: 0.01112784728760678},
+        3.5: {-5: 0.2967281942604785, 5: 0.09522275802901925},
+        6.0: {-5: 0.6567488373565838, 5: 0.4152856158607587},
+    }
+    RHO_D = {  # alpha -> rho_d (independent of beta_u)
+        2.05: 0.05728656026880078,
+        2.5: 0.5803921674694427,
+        3.5: 0.8056689820226471,
+        6.0: 0.8578060506647491,
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(RHO_D))
+    def test_ul_and_dl(self, alpha):
+        pytest.importorskip("mpmath")  # skipped with the other mpmath oracle tests
+        for beta_u_db, want in self.RHO_U[alpha].items():
+            p = replace(TABLE, alpha=alpha, beta_u=db_to_linear(beta_u_db))
+            got = ul_success_probability(p).value
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-7, abs=0.0)
+        got_d = dl_success_probability(replace(TABLE, alpha=alpha)).value
+        assert math.isfinite(got_d)
+        assert got_d == pytest.approx(self.RHO_D[alpha], rel=1e-7, abs=0.0)

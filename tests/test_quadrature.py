@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dudasim.quadrature import (
-    DEFAULT_SPEC,
+    IntegrationResult,
     QuadratureConvergenceError,
     QuadratureSpec,
     integrate_finite,
-    integrate_semi_infinite,
     interference_tail_integral,
 )
 
@@ -32,45 +31,6 @@ class TestSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(tail_cutoff_mass=1e-3)
 
-    def test_tighter(self):
-        s = QuadratureSpec().tighter()
-        assert s.rel_tol == pytest.approx(DEFAULT_SPEC.rel_tol / 10)
-        assert s.abs_tol == pytest.approx(DEFAULT_SPEC.abs_tol / 10)
-
-
-class TestSemiInfinite:
-    def test_exponential(self):
-        val, err = integrate_semi_infinite(lambda x: math.exp(-x), 0.0)
-        assert val == pytest.approx(1.0, rel=1e-10)
-        assert err >= 0.0
-
-    def test_shifted_exponential(self):
-        val, _ = integrate_semi_infinite(lambda x: math.exp(-x), 2.0)
-        assert val == pytest.approx(math.exp(-2.0), rel=1e-10)
-
-    def test_interference_kernel_example(self):
-        # beta = r = 1, lower bound 1: closed form pi/8
-        f = lambda x: (x**-4) / (1 + x**-4) * x
-        val, _ = integrate_semi_infinite(f, 1.0)
-        assert val == pytest.approx(math.pi / 8, rel=1e-10)
-
-    def test_rayleigh_density_normalization(self):
-        lam = 0.005
-        f = lambda r: 2 * math.pi * lam * r * math.exp(-math.pi * lam * r * r)
-        val, _ = integrate_semi_infinite(f, 0.0)
-        assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_rejects_negative_lower_bound(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: math.exp(-x), -1.0)
-
-    def test_non_convergence_reports_estimate(self):
-        spec = QuadratureSpec(max_subdivisions=1)
-        with pytest.raises(QuadratureConvergenceError) as exc_info:
-            integrate_semi_infinite(lambda x: math.sin(50 * x) * math.exp(-0.01 * x), 0.0, spec)
-        assert math.isfinite(exc_info.value.value)
-        assert exc_info.value.error > 0.0
-
 
 class TestTailIntegral:
     def test_reference_points(self):
@@ -92,6 +52,12 @@ class TestTailIntegral:
             with pytest.raises(ValueError):
                 interference_tail_integral(1.0, 1.0, 1.0, alpha, 1.0)
 
+    def test_rejects_negative_arguments(self):
+        for kappa, beta, r, a in ((-1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0),
+                                  (1.0, 1.0, -1.0, 1.0), (1.0, 1.0, 1.0, -1.0)):
+            with pytest.raises(ValueError):
+                interference_tail_integral(kappa, beta, r, 4.0, a)
+
     def test_zero_exclusion_radius_accepted(self):
         val = interference_tail_integral(1.0, 1.0, 1.0, 4.0, 0.0).value
         assert val == pytest.approx(arctan_closed_form(1, 1, 1, 0), rel=1e-10)
@@ -103,7 +69,7 @@ class TestTailIntegral:
             kappa, beta, r, a = 10.0 ** rng.uniform(-3, 3, size=4)
             got = interference_tail_integral(kappa, beta, r, 4.0, a).value
             want = arctan_closed_form(kappa, beta, r, a)
-            assert got == pytest.approx(want, rel=1e-8)
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_monotonicity(self):
         base = dict(kappa=2.0, beta=0.7, r=3.0, alpha=3.5, a=2.0)
@@ -128,7 +94,7 @@ class TestTailIntegral:
             alpha = rng.uniform(2.5, 6.0)
             base = interference_tail_integral(kappa, beta, r, alpha, a).value
             scaled = interference_tail_integral(kappa, beta, sigma * r, alpha, sigma * a).value
-            assert scaled == pytest.approx(sigma**2 * base, rel=1e-8)
+            assert scaled == pytest.approx(sigma**2 * base, rel=1e-8, abs=0.0)
 
     def test_general_alpha_against_dense_quadrature(self):
         # independent reference: transform x = a + u/(1-u) and evaluate a
@@ -150,3 +116,63 @@ class TestFinite:
     def test_polynomial(self):
         val, _ = integrate_finite(lambda x: 3 * x * x, 0.0, 2.0)
         assert val == pytest.approx(8.0, rel=1e-12)
+
+    def test_non_convergence_reports_estimate(self):
+        spec = QuadratureSpec(max_subdivisions=1)
+        with pytest.raises(QuadratureConvergenceError) as exc_info:
+            integrate_finite(lambda x: math.sin(50 * x) * math.exp(-0.01 * x), 0.0, 100.0, spec)
+        assert math.isfinite(exc_info.value.value)
+        assert exc_info.value.error > 0.0
+
+
+def mp_tail(kappa, beta, r, alpha, a):
+    """The tail integral in 30-digit arithmetic: the hypergeometric closed
+    form for a > 0 and the Beta-function value at a = 0."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        kappa, beta, r, alpha, a = (mp.mpf(x) for x in (kappa, beta, r, alpha, a))
+        c = kappa * beta * r**alpha
+        if a == 0:
+            return float(c ** (2 / alpha) * (mp.pi / alpha) / mp.sin(2 * mp.pi / alpha))
+        f21 = mp.hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha, -c * a**-alpha)
+        return float(c * a ** (2 - alpha) / (alpha - 2) * f21)
+
+
+def assert_matches_oracle(kappa, beta, r, alpha, a):
+    got = interference_tail_integral(kappa, beta, r, alpha, a)
+    assert isinstance(got, IntegrationResult) and got.error == 0.0
+    # abs=0: approx's default absolute slack would excuse every value below 1e-12
+    assert got.value == pytest.approx(mp_tail(kappa, beta, r, alpha, a), rel=1e-12, abs=0.0)
+
+
+class TestTailOracle:
+    """The tail integral against mpmath at 30 digits over alpha in (2, 6]."""
+
+    def test_random_tuples(self):
+        rng = np.random.default_rng(31)
+        for _ in range(600):
+            alpha = 6.0 - rng.uniform(0.0, 4.0)  # (2, 6]
+            kappa, beta, r, a = 10.0 ** rng.uniform(-3, 3, size=4)
+            assert_matches_oracle(kappa, beta, r, alpha, a)
+
+    def test_zero_exclusion_radius(self):
+        rng = np.random.default_rng(37)
+        for alpha in (2.0001, 2.05, 2.5, 2.7, 3.5, 4.0, 6.0):
+            kappa, beta, r = 10.0 ** rng.uniform(-3, 3, size=3)
+            assert_matches_oracle(kappa, beta, r, alpha, 0.0)
+
+    def test_small_alpha_tiny_argument(self):
+        # alpha near 2.7, small c and c a^-alpha between about 1e-20 and
+        # 1e-8, so the value is far below 1: the region where an adaptive
+        # quadrature of the mapped integrand lost up to three digits
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            alpha = rng.uniform(2.5, 2.9)
+            kappa, beta, r = 10.0 ** rng.uniform(-3, 0, size=3)
+            a = (kappa * beta * r**alpha) ** (1 / alpha) * 10.0 ** rng.uniform(3, 7)
+            assert_matches_oracle(kappa, beta, r, alpha, a)
+
+    def test_extreme_exclusion_radii(self):
+        for alpha in (2.05, 2.7, 4.0, 6.0):
+            for a in (1e-300, 1e-30, 1e-6, 1e30):
+                assert_matches_oracle(2.0, 0.5, 3.0, alpha, a)
