@@ -17,6 +17,7 @@ from .params import (
     LinkSuccess,
     SlotTiming,
     SystemParams,
+    TrialConfig,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
@@ -58,22 +59,14 @@ from .deployment import (
     sample_ppp,
     snapshot_csv,
 )
-from .montecarlo import (
-    LatencyStats,
-    TrialConfig,
-    run_campaign,
-    run_synthetic_campaign,
-    run_two_way_trial,
-    samples_csv,
-    sinr,
-)
+from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign, samples_csv
 from .config import ConfigBundle, ConfigError, SweepSpec, parse_config
 from .sweep import run_sweep, rows_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinkSuccess", "SlotTiming", "SystemParams",
+    "LinkSuccess", "SlotTiming", "SystemParams", "TrialConfig",
     "db_to_linear", "dbm_to_watts", "linear_to_db", "watts_to_dbm", "validate",
     "LatencyBreakdown", "latency_duca", "latency_duda", "latency_gap",
     "n_shot_success", "protocol_delay_expected", "protocol_delay_sample",
@@ -85,8 +78,7 @@ __all__ = [
     "nearest_distance_pdf", "second_nearest_distance_pdf", "ul_success_probability",
     "Deployment", "RngStream", "assign_directions_and_ues", "delaunay_adjacency",
     "generate_deployment", "pair_bs", "sample_ppp", "snapshot_csv",
-    "LatencyStats", "TrialConfig", "run_campaign", "run_synthetic_campaign",
-    "run_two_way_trial", "samples_csv", "sinr",
+    "LatencyStats", "run_campaign", "run_synthetic_campaign", "samples_csv",
     "ConfigBundle", "ConfigError", "SweepSpec", "parse_config",
     "run_sweep", "rows_to_csv", "run_validation",
 ]

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .montecarlo import TrialConfig
 from .params import (
     LinkSuccess,
     SlotTiming,
     SystemParams,
+    TrialConfig,
     db_to_linear,
     dbm_to_watts,
     validate,

@@ -6,58 +6,55 @@ same attempt, recording the attempt count and the resulting latency
 sample.  Per-direction first-attempt success frequencies estimate
 (rho_u, rho_d).
 
+Exact conditional success probabilities
+---------------------------------------
+Fading is Rayleigh (unit-mean exponential power gains), so a frozen
+deployment passes a direction with the exact probability
+
+    exp(-beta*sigma^2/S - sum_k log1p(beta*c_k/S)),
+
+where S is the received signal power and c_k the power each interfering
+unit delivers to the receiver from its active transmitter (its DL base
+station or its terminal).  This is the conditional success probability
+behind the SINR meta distribution (Haenggi, IEEE TWC 2016).  Each
+deployment is reduced to these numbers as soon as it is generated; the
+retry loop then needs only Bernoulli and geometric draws, done for the
+whole campaign at once.
+
 Attempt models
 --------------
 The retry formulas treat attempts as independent with success probability
 rho_u * rho_d.  Matching that independence, the default campaign attempt
 model ``"independent"`` draws a fresh interference state for every attempt
 and phase: a deployment (with its direction assignment) sampled from the
-campaign's ensemble, plus fresh fading everywhere.  The alternative model
-``"fixed"`` freezes the trial's own deployment and redraws only fading
-(and optionally directions) between attempts; with a static geometry the
-conditional success probability has mass near zero, so attempt counts are
-heavy-tailed there, means are censoring-dominated, and sampled latencies
-sit far above the closed forms.  See the README discussion before using
-"fixed" quantitatively.
+campaign's ensemble, plus fresh fading everywhere.  The first UL attempt
+uses the trial's own deployment and the first DL attempt a uniformly drawn
+ensemble member; retries succeed with probability mean(p_ul) * mean(p_dl).
+
+The alternative model ``"fixed"`` freezes the trial's own deployment and
+redraws only fading between attempts, so retries succeed with
+p_ul * p_dl of that deployment.  With ``direction_redraw`` every retry
+also redraws each unit's direction, shared by the attempt's UL and DL
+phases; a unit then contributes the factor
+delta*f_ul(b_k)*f_dl(b_k) + (1-delta)*f_ul(u_k)*f_dl(u_k), where f is the
+per-direction pass factor 1/(1 + beta*c/S) for its station (b) or terminal
+(u) transmitting.  With a static geometry the conditional success
+probability has mass near zero, so attempt counts are heavy-tailed there,
+means are censoring-dominated, and sampled latencies sit far above the
+closed forms.  See the README discussion before using "fixed"
+quantitatively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .deployment import Deployment, RngStream, generate_deployment
 from .latency import protocol_delay_sample
-from .params import SlotTiming, SystemParams
-
-
-@dataclass
-class TrialConfig:
-    """Configuration of a simulation campaign."""
-
-    params: SystemParams = field(default_factory=SystemParams)
-    timing: SlotTiming = field(default_factory=SlotTiming)
-    iterations: int = 10000
-    max_attempts: int = 1000
-    scheme: str = "duda"
-    seed: int = 0
-    fading_redraw: bool = True          # fresh fading every attempt
-    direction_redraw: bool = False      # re-randomize pair directions per attempt ("fixed" model)
-    attempt_model: str = "independent"  # "independent" | "fixed"
-    typical_mode: str = "dl"
-    window_half_width: float = 75.0
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.scheme not in ("duda", "duca"):
-            raise ValueError("scheme must be 'duda' or 'duca'")
-        if self.attempt_model not in ("independent", "fixed"):
-            raise ValueError("attempt_model must be 'independent' or 'fixed'")
+from .params import SlotTiming, SystemParams, TrialConfig
 
 
 @dataclass
@@ -90,178 +87,97 @@ class LatencyStats:
         return self.censored_count / max(len(self.samples), 1)
 
 
-class TrialResult(NamedTuple):
-    attempts: int
-    latency: float
-    censored: bool
-    first_attempt_ul: bool
-    first_attempt_dl: bool
+def success_probabilities(
+    dep: Deployment, params: SystemParams, direction_redraw: bool = False
+) -> Tuple[float, float, float]:
+    """(p_ul, p_dl, p_retry) of a frozen deployment under Rayleigh fading.
 
-
-def sinr(
-    tx_power: float,
-    distance: float,
-    fading: float,
-    interferers: Sequence[Tuple[float, float, float]],
-    alpha: float,
-    noise_power: float,
-) -> float:
-    """Linear SINR of a link with power-law path loss d^-alpha.
-
-    interferers is a sequence of (power_watts, distance_m, fading) triples.
+    p_ul and p_dl are the probabilities that the probe's UL (at its serving
+    BS) and DL (at the probe terminal) pass with the deployment's own
+    directions.  p_retry is the probability that a "fixed"-model retry
+    passes both: p_ul * p_dl, or with direction_redraw the product over
+    units of the shared-direction mixture (see the module docstring).
     """
-    if distance <= 0:
-        raise ValueError("distance must be positive (path loss is singular at 0)")
-    if fading < 0:
-        raise ValueError("fading must be non-negative")
-    signal = tx_power * fading * distance ** (-alpha)
-    interference = sum(p * g * d ** (-alpha) for (p, d, g) in interferers)
-    return signal / (noise_power + interference)
+    n_pairs = len(dep.pairs)
+    keep = np.ones(n_pairs + len(dep.unpaired), dtype=bool)
+    keep[:n_pairs] = np.arange(n_pairs) != dep.typical_pair_index
+    if dep.scheme == "duca":
+        keep[n_pairs:] = dep.unpaired != dep.typical_ul_bs
+    tx_bs = dep.bs_positions[np.concatenate([dep.pairs[:, 1], dep.unpaired])[keep]]
+    tx_ue = dep.active_ues[keep]
+    active = np.concatenate([dep.pair_active_dl, dep.unpaired_active_dl])[keep]
+
+    def log_pass(rx: np.ndarray, tx: np.ndarray, tx_power: float, beta: float):
+        """Noise term and per-unit log pass factors, -log1p(beta*c/S), with
+        the unit's BS or its terminal transmitting."""
+        b = beta / (tx_power * float(np.linalg.norm(tx - rx)) ** (-params.alpha))  # beta/S
+        bs = -np.log1p(b * params.p_b * np.linalg.norm(tx_bs - rx, axis=1) ** (-params.alpha))
+        ue = -np.log1p(b * params.p_m * np.linalg.norm(tx_ue - rx, axis=1) ** (-params.alpha))
+        return -b * params.noise_power, bs, ue
+
+    rx_ul = dep.bs_positions[dep.typical_ul_bs]
+    noise_ul, bs_ul, ue_ul = log_pass(rx_ul, dep.typical_ue, params.p_m, params.beta_u)
+    noise_dl, bs_dl, ue_dl = log_pass(
+        dep.typical_ue, dep.bs_positions[dep.typical_dl_bs], params.p_b, params.beta_d
+    )
+    p_ul = float(np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum()))
+    p_dl = float(np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum()))
+    if not direction_redraw:
+        return p_ul, p_dl, p_ul * p_dl
+    mixture = np.logaddexp(
+        np.log(params.delta) + bs_ul + bs_dl, np.log1p(-params.delta) + ue_ul + ue_dl
+    )
+    return p_ul, p_dl, float(np.exp(noise_ul + noise_dl + mixture.sum()))
 
 
-class _PhaseField:
-    """Per-deployment interference coefficients for the two receive points.
+def draw_attempts(p_ul, p_dl, p_retry, max_attempts: int, rng):
+    """Attempt counts of a batch of trials from their success probabilities.
 
-    Every interfering unit (a cooperating pair, or an unmatched station)
-    owns two candidate transmitters: its DL base station and its active
-    terminal; the unit's drawn direction selects one.  Coefficients are
-    power * distance^-alpha at the UL receiver (the serving BS) and at the
-    DL receiver (the probe terminal).
+    The first attempt passes UL with probability p_ul and DL with p_dl
+    (independently); every later attempt passes both with p_retry, so the
+    retries needed are geometric.  Trials still failing after max_attempts
+    attempts are censored there; p_retry = 0 censors every failed trial.
+    Returns (attempts, censored, first_ul, first_dl) arrays.
     """
-
-    __slots__ = ("bs_at_ul", "ue_at_ul", "bs_at_dl", "ue_at_dl", "active_dl", "s_ul", "s_dl")
-
-    def __init__(self, dep: Deployment, params: SystemParams):
-        alpha = params.alpha
-        rx_ul = dep.bs_positions[dep.typical_ul_bs]
-        rx_dl = dep.typical_ue
-
-        n_pairs = len(dep.pairs)
-        if n_pairs:
-            keep = np.arange(n_pairs) != dep.typical_pair_index
-            pair_bs_tx = dep.bs_positions[dep.pairs[keep, 1]]  # DL member transmits
-            pair_ue_tx = dep.active_ues[:n_pairs][keep]
-            pair_act = dep.pair_active_dl[keep]
-        else:
-            pair_bs_tx = np.empty((0, 2))
-            pair_ue_tx = np.empty((0, 2))
-            pair_act = np.empty(0, dtype=bool)
-        if len(dep.unpaired):
-            keep_u = dep.unpaired != dep.typical_ul_bs if dep.scheme == "duca" else np.ones(
-                len(dep.unpaired), dtype=bool
-            )
-            un_bs_tx = dep.bs_positions[dep.unpaired[keep_u]]
-            un_ue_tx = dep.active_ues[n_pairs:][keep_u]
-            un_act = dep.unpaired_active_dl[keep_u]
-        else:
-            un_bs_tx = np.empty((0, 2))
-            un_ue_tx = np.empty((0, 2))
-            un_act = np.empty(0, dtype=bool)
-
-        bs_arr = np.vstack([pair_bs_tx, un_bs_tx])
-        ue_arr = np.vstack([pair_ue_tx, un_ue_tx])
-        active = np.concatenate([pair_act, un_act])
-
-        def coef(tx: np.ndarray, rx: np.ndarray, power: float) -> np.ndarray:
-            d = np.linalg.norm(tx - rx, axis=1)
-            return power * d ** (-alpha)
-
-        self.bs_at_ul = coef(bs_arr, rx_ul, params.p_b)
-        self.ue_at_ul = coef(ue_arr, rx_ul, params.p_m)
-        self.bs_at_dl = coef(bs_arr, rx_dl, params.p_b)
-        self.ue_at_dl = coef(ue_arr, rx_dl, params.p_m)
-        self.active_dl = np.asarray(active, dtype=bool)
-
-        r_ul = float(np.linalg.norm(rx_ul - dep.typical_ue))
-        r_dl = float(np.linalg.norm(dep.bs_positions[dep.typical_dl_bs] - dep.typical_ue))
-        self.s_ul = params.p_m * r_ul ** (-alpha)
-        self.s_dl = params.p_b * r_dl ** (-alpha)
-
-    def ul_pass(self, params: SystemParams, rng, active_dl: Optional[np.ndarray] = None) -> bool:
-        bits = self.active_dl if active_dl is None else active_dl
-        n = len(bits)
-        itf = rng.exponential(size=n) @ np.where(bits, self.bs_at_ul, self.ue_at_ul) if n else 0.0
-        return self.s_ul * rng.exponential() >= params.beta_u * (params.noise_power + itf)
-
-    def dl_pass(self, params: SystemParams, rng, active_dl: Optional[np.ndarray] = None) -> bool:
-        bits = self.active_dl if active_dl is None else active_dl
-        n = len(bits)
-        itf = rng.exponential(size=n) @ np.where(bits, self.bs_at_dl, self.ue_at_dl) if n else 0.0
-        return self.s_dl * rng.exponential() >= params.beta_d * (params.noise_power + itf)
+    first_ul = rng.random(len(p_ul)) < p_ul
+    first_dl = rng.random(len(p_dl)) < p_dl
+    p_retry = np.broadcast_to(p_retry, first_ul.shape)
+    retries = np.zeros(first_ul.shape, dtype=np.int64)
+    failed = ~(first_ul & first_dl)
+    retries[failed] = max_attempts
+    draw = failed & (p_retry > 0)
+    retries[draw] = np.minimum(rng.geometric(p_retry[draw]), max_attempts)
+    attempts = np.minimum(1 + retries, max_attempts)
+    return attempts, retries >= max_attempts, first_ul, first_dl
 
 
-def _latency_sample(timing: SlotTiming, scheme: str, attempts: int, rng) -> float:
-    """Latency of a transaction that succeeded on the given attempt."""
+def latency_samples(timing: SlotTiming, scheme: str, attempts: np.ndarray, rng) -> np.ndarray:
+    """Latencies of transactions that ended on the given attempts; the
+    coupled scheme draws each arrival's offset in the frame."""
     if scheme == "duda":
         return (attempts - 1) * (timing.s_u + timing.w) + timing.s_u + timing.s_d
-    t = rng.uniform(0.0, timing.t_d + timing.t_u)
-    return (
-        protocol_delay_sample(timing, t)
-        + (attempts - 1) * (timing.t_d + timing.t_u)
-        + timing.t_u
-        + timing.s_d
-    )
+    frame = timing.t_d + timing.t_u
+    t = rng.uniform(0.0, frame, size=len(attempts))
+    return protocol_delay_sample(timing, t) + (attempts - 1) * frame + timing.t_u + timing.s_d
 
 
-def run_two_way_trial(
-    deployment: Deployment, config: TrialConfig, rng
-) -> TrialResult:
-    """One transaction on a frozen deployment (the "fixed" attempt model).
-
-    Every attempt evaluates the UL SINR at the serving BS and the DL SINR
-    at the probe terminal with fresh unit-mean exponential fading on every
-    link (unless fading_redraw is off, which freezes the first draw); the
-    attempt succeeds when both directions pass.  Attempts are capped at
-    max_attempts, setting the censored flag.
-    """
-    if deployment.scheme != config.scheme:
-        raise ValueError("deployment scheme does not match the configuration")
-    fld = _PhaseField(deployment, config.params)
-    return _trial_on_field(fld, config, rng)
-
-
-def _trial_on_field(fld: _PhaseField, config: TrialConfig, rng) -> TrialResult:
-    params = config.params
-    n_units = len(fld.active_dl)
-    frozen_ul = frozen_dl = None
-    first_ul = first_dl = False
-    attempts = 0
-    success = False
-    while attempts < config.max_attempts:
-        attempts += 1
-        bits = None
-        if config.direction_redraw and attempts > 1:
-            bits = rng.uniform(size=n_units) < params.delta
-        if config.fading_redraw or attempts == 1:
-            ul_ok = fld.ul_pass(params, rng, bits)
-            dl_ok = fld.dl_pass(params, rng, bits)
-            if not config.fading_redraw:
-                frozen_ul, frozen_dl = ul_ok, dl_ok
-        else:
-            ul_ok, dl_ok = frozen_ul, frozen_dl
-        if attempts == 1:
-            first_ul, first_dl = bool(ul_ok), bool(dl_ok)
-        if ul_ok and dl_ok:
-            success = True
-            break
-    latency = _latency_sample(config.timing, config.scheme, attempts, rng)
-    return TrialResult(attempts, latency, not success, first_ul, first_dl)
+def _campaign_rng(seed: int, tag: int) -> np.random.Generator:
+    # a spawn key keeps this stream apart from every per-iteration stream
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag,)))
 
 
 def run_campaign(config: TrialConfig) -> LatencyStats:
     """Run a full campaign: one deployment per iteration, one trial each.
 
-    With the default "independent" attempt model, retry attempts draw their
-    interference state uniformly from the campaign's deployment ensemble
-    (fresh fading each time), realizing the independent-attempt assumption
-    of the retry model; the first attempt of each trial always uses the
-    iteration's own deployment.  The "fixed" model runs run_two_way_trial
-    on each iteration's deployment instead.
+    Each deployment is reduced to its exact conditional success
+    probabilities as it is generated; one vectorized draw then gives every
+    trial's attempts under the configured attempt model.
     """
-    params, timing = config.params, config.timing
-    fields: List[_PhaseField] = []
+    params, n = config.params, config.iterations
+    redraw = config.attempt_model == "fixed" and config.direction_redraw
+    probs = np.empty((3, n))
     resamples = 0
-    for it in range(config.iterations):
+    for it in range(n):
         dep, rs = generate_deployment(
             params.lambda_b,
             params.delta,
@@ -271,47 +187,22 @@ def run_campaign(config: TrialConfig) -> LatencyStats:
             typical_mode=config.typical_mode,
         )
         resamples += rs
-        if resamples > 10 * config.iterations:
+        if resamples > 10 * n:
             raise RuntimeError("typical-BS resampling exceeded 10x iterations")
-        fields.append(_PhaseField(dep, params))
+        probs[:, it] = success_probabilities(dep, params, redraw)
 
-    n = config.iterations
-    attempts = np.zeros(n, dtype=np.int64)
-    latencies = np.zeros(n, dtype=float)
-    censored = np.zeros(n, dtype=bool)
-    ul_first = np.zeros(n, dtype=bool)
-    dl_first = np.zeros(n, dtype=bool)
-
-    for it in range(n):
-        rng = np.random.default_rng([config.seed, it, 0xA77E])
-        if config.attempt_model == "fixed":
-            res = _trial_on_field(fields[it], config, rng)
-        else:
-            k = 0
-            success = False
-            first_ul = first_dl = False
-            while k < config.max_attempts:
-                k += 1
-                i_ul = it if k == 1 else int(rng.integers(n))
-                i_dl = int(rng.integers(n))
-                ul_ok = fields[i_ul].ul_pass(params, rng)
-                dl_ok = fields[i_dl].dl_pass(params, rng)
-                if k == 1:
-                    first_ul, first_dl = bool(ul_ok), bool(dl_ok)
-                if ul_ok and dl_ok:
-                    success = True
-                    break
-            res = TrialResult(
-                k, _latency_sample(timing, config.scheme, k, rng), not success, first_ul, first_dl
-            )
-        attempts[it] = res.attempts
-        latencies[it] = res.latency
-        censored[it] = res.censored
-        ul_first[it] = res.first_attempt_ul
-        dl_first[it] = res.first_attempt_dl
-
+    p_ul, p_dl, p_retry = probs
+    rng = _campaign_rng(config.seed, 0xA77E)
+    if config.attempt_model == "independent":
+        # every DL phase, the first included, sees a uniformly drawn
+        # ensemble member; only the first UL phase sees the trial's own
+        p_retry = p_ul.mean() * p_dl.mean()
+        p_dl = p_dl[rng.integers(n, size=n)]
+    attempts, censored, ul_first, dl_first = draw_attempts(
+        p_ul, p_dl, p_retry, config.max_attempts, rng
+    )
     return LatencyStats(
-        samples=latencies,
+        samples=latency_samples(config.timing, config.scheme, attempts, rng),
         attempts=attempts,
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),
@@ -330,7 +221,6 @@ def run_synthetic_campaign(
     Used by success-probability sweeps that treat (rho_u, rho_d) as free
     parameters."""
     attempts = np.zeros(iterations, dtype=np.int64)
-    latencies = np.zeros(iterations, dtype=float)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
     dl_first = np.zeros(iterations, dtype=bool)
@@ -349,9 +239,8 @@ def run_synthetic_campaign(
                 break
         attempts[it] = k
         censored[it] = not success
-        latencies[it] = _latency_sample(timing, scheme, k, rng)
     return LatencyStats(
-        samples=latencies,
+        samples=latency_samples(timing, scheme, attempts, _campaign_rng(seed, 0x5E7)),
         attempts=attempts,
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),

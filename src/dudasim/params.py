@@ -13,7 +13,7 @@ are kept apart as ``SystemParams.bandwidth`` and ``SlotTiming.w``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 
@@ -83,6 +83,32 @@ class SlotTiming:
     def __post_init__(self) -> None:
         if self.w is None:
             object.__setattr__(self, "w", self.t_d)
+
+
+@dataclass
+class TrialConfig:
+    """Configuration of a simulation campaign."""
+
+    params: SystemParams = field(default_factory=SystemParams)
+    timing: SlotTiming = field(default_factory=SlotTiming)
+    iterations: int = 10000
+    max_attempts: int = 1000
+    scheme: str = "duda"
+    seed: int = 0
+    direction_redraw: bool = False      # re-randomize pair directions per attempt ("fixed" model)
+    attempt_model: str = "independent"  # "independent" | "fixed"
+    typical_mode: str = "dl"
+    window_half_width: float = 75.0
+
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise ValueError("iterations must be at least 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        if self.scheme not in ("duda", "duca"):
+            raise ValueError("scheme must be 'duda' or 'duca'")
+        if self.attempt_model not in ("independent", "fixed"):
+            raise ValueError("attempt_model must be 'independent' or 'fixed'")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 from .config import ConfigBundle, SweepSpec
 from .coverage import dl_success_probability, ul_success_probability
 from .latency import latency_duca, latency_duda
-from .montecarlo import TrialConfig, run_campaign, run_synthetic_campaign
-from .params import LinkSuccess, SlotTiming, SystemParams, db_to_linear
+from .montecarlo import run_campaign, run_synthetic_campaign
+from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig, db_to_linear
 
 
 @dataclass

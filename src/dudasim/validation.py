@@ -201,14 +201,20 @@ def check_analytic_vs_simulation(bundle: ConfigBundle, stats) -> List[Validation
     rho_d = dl_success_probability(bundle.params, include_noise=bundle.include_noise).value
     du = abs(rho_u - stats.empirical_rho_u)
     dd = abs(rho_d - stats.empirical_rho_d)
+
+    def detail(analytic: float, p: float) -> str:
+        # binomial standard error of the empirical first-attempt frequency
+        se = math.sqrt(p * (1.0 - p) / len(stats.samples))
+        return f"analytic={analytic:.4f} empirical={p:.4f} se={se:.4f}"
+
     return [
         ValidationCheck(
             "analytic_vs_mc_rho_u", du <= 0.03, du, 0.03,
-            detail=f"analytic={rho_u:.4f} empirical={stats.empirical_rho_u:.4f}",
+            detail=detail(rho_u, stats.empirical_rho_u),
         ),
         ValidationCheck(
             "analytic_vs_mc_rho_d", dd <= 0.05, dd, 0.05,
-            detail=f"analytic={rho_d:.4f} empirical={stats.empirical_rho_d:.4f}",
+            detail=detail(rho_d, stats.empirical_rho_d),
         ),
     ]
 

@@ -13,7 +13,7 @@ class TestDefaults:
         assert b.params.beta_d == pytest.approx(10 ** -0.5)
         assert b.params.p_b == pytest.approx(10.0)
         assert b.params.p_m == pytest.approx(0.1)
-        assert b.params.noise_power == pytest.approx(10 ** -20.4)
+        assert b.params.noise_power == pytest.approx(10 ** -20.4, abs=0.0)
         assert b.trial.iterations == 10000
         assert b.trial.window_half_width == pytest.approx(75.0)
         assert b.timing.t_d == 1.0 and b.timing.t_u == 1.0

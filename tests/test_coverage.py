@@ -89,8 +89,8 @@ class TestDistanceLaws:
         lam, mass = 0.005, 1e-9
         r1 = nearest_truncation_radius(lam, mass)
         r2 = second_nearest_truncation_radius(lam, mass)
-        assert 1.0 - nearest_distance_cdf(r1, lam) == pytest.approx(mass, rel=1e-6)
-        assert 1.0 - second_nearest_distance_cdf(r2, lam) == pytest.approx(mass, rel=1e-6)
+        assert 1.0 - nearest_distance_cdf(r1, lam) == pytest.approx(mass, rel=1e-6, abs=0.0)
+        assert 1.0 - second_nearest_distance_cdf(r2, lam) == pytest.approx(mass, rel=1e-6, abs=0.0)
         assert r2 > r1
 
 

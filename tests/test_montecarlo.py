@@ -8,36 +8,24 @@ from dudasim.deployment import Deployment, RngStream, generate_deployment
 from dudasim.latency import latency_duca, latency_duda
 from dudasim.montecarlo import (
     TrialConfig,
+    draw_attempts,
+    latency_samples,
     run_campaign,
     run_synthetic_campaign,
-    run_two_way_trial,
     samples_csv,
-    sinr,
+    success_probabilities,
 )
 from dudasim.params import LinkSuccess, SlotTiming, SystemParams
 
 TABLE = SystemParams()
+QUIET = replace(TABLE, noise_power=0.0)
 
 
-class ScriptedRng:
-    """Deterministic stand-in for a Generator: yields scripted exponentials,
-    uniforms mid-range, and zero integers."""
-
-    def __init__(self, exponentials):
-        self._exp = list(exponentials)
-
-    def exponential(self, size=None):
-        if size is None:
-            return self._exp.pop(0)
-        return np.array([self._exp.pop(0) for _ in range(size)])
+class MidpointRng:
+    """Stand-in for a Generator whose uniforms sit mid-range."""
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        if size is None:
-            return 0.5 * (low + high)
         return np.full(size, 0.5 * (low + high))
-
-    def integers(self, n):
-        return 0
 
 
 def isolated_pair_deployment(scheme="duda"):
@@ -77,89 +65,259 @@ def isolated_pair_deployment(scheme="duda"):
     )
 
 
-class TestSinr:
+def with_interferer(dep, bs, ue, active_dl):
+    """The duda deployment plus one interfering pair: a far UL member, its
+    DL member at ``bs`` and its terminal at ``ue``."""
+    n = len(dep.bs_positions)
+    return replace(
+        dep,
+        bs_positions=np.vstack([dep.bs_positions, [[500.0, 500.0], bs]]),
+        pairs=np.vstack([dep.pairs, [[n, n + 1]]]),
+        pair_active_dl=np.append(dep.pair_active_dl, active_dl),
+        active_ues=np.vstack([dep.active_ues, [ue]]),
+    )
+
+
+def gain(power, tx, rx, alpha=4.0):
+    return power * float(np.linalg.norm(np.asarray(tx) - np.asarray(rx))) ** (-alpha)
+
+
+def brute_force(dep, params, rng, draws, redraw=False, chunk=10_000):
+    """Pass frequencies of UL, DL, and both in a retry, from per-attempt
+    exponential fading on every link; with ``redraw`` each attempt draws
+    every unit's direction afresh, shared by its UL and DL phases.
+    Returns [(hits, draws)] for p_ul, p_dl and p_retry."""
+    n_pairs = len(dep.pairs)
+    units = [
+        (dep.bs_positions[dep.pairs[g, 1]], dep.active_ues[g], dep.pair_active_dl[g])
+        for g in range(n_pairs) if g != dep.typical_pair_index
+    ] + [
+        (dep.bs_positions[b], dep.active_ues[n_pairs + k], dep.unpaired_active_dl[k])
+        for k, b in enumerate(dep.unpaired)
+        if not (dep.scheme == "duca" and b == dep.typical_ul_bs)
+    ]
+    rx_ul, rx_dl = dep.bs_positions[dep.typical_ul_bs], dep.typical_ue
+    a = params.alpha
+    bs_ul = np.array([gain(params.p_b, b, rx_ul, a) for b, _, _ in units])
+    ue_ul = np.array([gain(params.p_m, u, rx_ul, a) for _, u, _ in units])
+    bs_dl = np.array([gain(params.p_b, b, rx_dl, a) for b, _, _ in units])
+    ue_dl = np.array([gain(params.p_m, u, rx_dl, a) for _, u, _ in units])
+    own = np.array([act for _, _, act in units], dtype=bool)
+    s_ul = gain(params.p_m, dep.typical_ue, rx_ul, a)
+    s_dl = gain(params.p_b, dep.bs_positions[dep.typical_dl_bs], rx_dl, a)
+    hits = np.zeros(3, dtype=np.int64)
+    for lo in range(0, draws, chunk):
+        m = min(chunk, draws - lo)
+        bits = rng.uniform(size=(m, len(units))) < params.delta if redraw else own
+
+        def passes(s, beta, bs, ue):
+            itf = (rng.exponential(size=(m, len(units))) * np.where(bits, bs, ue)).sum(axis=1)
+            return s * rng.exponential(size=m) >= beta * (params.noise_power + itf)
+
+        ul = passes(s_ul, params.beta_u, bs_ul, ue_ul)
+        dl = passes(s_dl, params.beta_d, bs_dl, ue_dl)
+        hits += [ul.sum(), dl.sum(), (ul & dl).sum()]
+    return hits / draws
+
+
+class TestSuccessProbabilities:
     def test_constructed_equality(self):
-        # noise set equal to the received signal power -> SINR exactly 1
-        rx = 0.2 * 1.0 * 5.0 ** (-4.0)
-        assert sinr(0.2, 5.0, 1.0, [], 4.0, rx) == pytest.approx(1.0, rel=1e-12)
+        # noise equal to the received UL power over the UL threshold: the
+        # UL pass probability is exactly exp(-1)
+        dep = isolated_pair_deployment()
+        s_ul = gain(TABLE.p_m, [0.0, 0.0], [5.0, 0.0])
+        p_ul, p_dl, p_retry = success_probabilities(
+            dep, replace(TABLE, noise_power=s_ul / TABLE.beta_u)
+        )
+        assert p_ul == pytest.approx(math.exp(-1.0), rel=1e-12)
+        s_dl = gain(TABLE.p_b, [0.0, 0.0], [12.0, 0.0])
+        assert p_dl == pytest.approx(math.exp(-TABLE.beta_d * s_ul / TABLE.beta_u / s_dl), rel=1e-12)
+        assert p_retry == p_ul * p_dl
+
+    def test_isolated_pair_no_interferer(self):
+        for scheme in ("duda", "duca"):
+            dep = isolated_pair_deployment(scheme)
+            assert success_probabilities(dep, QUIET) == (1.0, 1.0, 1.0)
+            assert success_probabilities(dep, QUIET, direction_redraw=True) == (1.0, 1.0, 1.0)
+            p_ul, p_dl, _ = success_probabilities(dep, TABLE)
+            r_dl = 12.0 if scheme == "duda" else 5.0
+            want_ul = math.exp(-TABLE.beta_u * TABLE.noise_power / gain(TABLE.p_m, [0, 0], [5, 0]))
+            want_dl = math.exp(-TABLE.beta_d * TABLE.noise_power / gain(TABLE.p_b, [0, 0], [r_dl, 0]))
+            assert p_ul == pytest.approx(want_ul, rel=1e-12)
+            assert p_dl == pytest.approx(want_dl, rel=1e-12)
 
     def test_symmetric_interferer(self):
-        val = sinr(0.2, 5.0, 1.0, [(0.2, 5.0, 1.0)], 4.0, 0.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
+        # an interfering terminal with the probe terminal's power and
+        # distance: SIR 1, so P(pass) = 1/(1 + beta_u)
+        dep = with_interferer(isolated_pair_deployment(), [0.0, 300.0], [10.0, 0.0], False)
+        p_ul, _, _ = success_probabilities(dep, replace(QUIET, beta_u=2.0))
+        assert p_ul == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_hand_example(self):
-        # 0.1 W at sqrt(50) m against a 10 W interferer at 30 m, alpha 4
-        val = sinr(0.1, math.sqrt(50.0), 1.0, [(10.0, 30.0, 1.0)], 4.0, 0.0)
-        assert val == pytest.approx(3.24, rel=1e-12)
+        # 0.1 W at sqrt(50) m against a 10 W station at 30 m: SIR 3.24
+        dep = with_interferer(
+            replace(isolated_pair_deployment(), typical_ue=np.array([10.0, 5.0]),
+                    active_ues=np.array([[10.0, 5.0]])),
+            [35.0, 0.0], [400.0, 0.0], True,
+        )
+        p_ul, _, _ = success_probabilities(dep, replace(QUIET, beta_u=1.62))
+        assert p_ul == pytest.approx(1.0 / 1.5, rel=1e-12)
 
-    def test_rejects_zero_distance(self):
-        with pytest.raises(ValueError):
-            sinr(1.0, 0.0, 1.0, [], 4.0, 1e-12)
-        with pytest.raises(ValueError):
-            sinr(1.0, 1.0, -0.5, [], 4.0, 1e-12)
+    def test_one_interferer(self):
+        # each direction of the unit, and the retry mixture over both
+        base = isolated_pair_deployment()
+        bs, ue, delta = [20.0, 10.0], [-3.0, 8.0], 0.3
+        params = replace(TABLE, delta=delta)
+        s_ul = gain(params.p_m, [0, 0], [5, 0])
+        s_dl = gain(params.p_b, [0, 0], [12, 0])
+
+        def f(beta, c, s):
+            return 1.0 / (1.0 + beta * c / s)
+
+        f_ul_b = f(params.beta_u, gain(params.p_b, bs, [5, 0]), s_ul)
+        f_ul_u = f(params.beta_u, gain(params.p_m, ue, [5, 0]), s_ul)
+        f_dl_b = f(params.beta_d, gain(params.p_b, bs, [0, 0]), s_dl)
+        f_dl_u = f(params.beta_d, gain(params.p_m, ue, [0, 0]), s_dl)
+        noise_ul = math.exp(-params.noise_power * params.beta_u / s_ul)
+        noise_dl = math.exp(-params.noise_power * params.beta_d / s_dl)
+        noise = noise_ul * noise_dl
+        for active_dl, (f_ul, f_dl) in ((True, (f_ul_b, f_dl_b)), (False, (f_ul_u, f_dl_u))):
+            dep = with_interferer(base, bs, ue, active_dl)
+            p_ul, p_dl, p_retry = success_probabilities(dep, params)
+            assert p_ul == pytest.approx(noise_ul * f_ul, rel=1e-12)
+            assert p_dl == pytest.approx(noise_dl * f_dl, rel=1e-12)
+            assert p_retry == p_ul * p_dl
+            _, _, shared = success_probabilities(dep, params, direction_redraw=True)
+            want = noise * (delta * f_ul_b * f_dl_b + (1 - delta) * f_ul_u * f_dl_u)
+            assert shared == pytest.approx(want, rel=1e-12)
+
+    def test_retry_directions_are_shared_by_both_phases(self):
+        # the interferer's station sits next to the probe terminal (kills the
+        # DL when it transmits) and its terminal next to the serving station
+        # (kills the UL when it transmits): every retry fails one direction,
+        # while the product of the per-direction mixtures is delta*(1-delta)
+        delta = 0.3
+        params = replace(QUIET, delta=delta, beta_u=1e-4, beta_d=1.0)
+        base = replace(
+            isolated_pair_deployment(), bs_positions=np.array([[1.0, 0.0], [-1.0, 0.0]])
+        )
+        dep = with_interferer(base, [0.0, 0.1], [1.0, 0.01], True)
+        p_ul_b, p_dl_b, shared = success_probabilities(dep, params, direction_redraw=True)
+        p_ul_u, p_dl_u, _ = success_probabilities(
+            with_interferer(base, [0.0, 0.1], [1.0, 0.01], False), params
+        )
+        marginals = (delta * p_ul_b + (1 - delta) * p_ul_u) * (delta * p_dl_b + (1 - delta) * p_dl_u)
+        assert shared < 1e-3
+        assert marginals == pytest.approx(delta * (1 - delta), rel=0.03)
+
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_matches_brute_force_fading(self, scheme):
+        draws = 40_000
+        rng = np.random.default_rng([7, scheme == "duca"])
+        for it in range(3):
+            dep, _ = generate_deployment(
+                TABLE.lambda_b, TABLE.delta, 75.0, RngStream(91, it), scheme=scheme
+            )
+            p_ul, p_dl, p_retry = success_probabilities(dep, TABLE)
+            _, _, shared = success_probabilities(dep, TABLE, direction_redraw=True)
+            freq = brute_force(dep, TABLE, rng, draws)
+            freq_redraw = brute_force(dep, TABLE, rng, draws, redraw=True)
+            for name, got, want in (
+                ("p_ul", freq[0], p_ul), ("p_dl", freq[1], p_dl),
+                ("p_retry", freq[2], p_retry), ("p_retry redraw", freq_redraw[2], shared),
+            ):
+                # a one-count floor: the normal bound misleads at p near 0
+                se = math.sqrt(max(want * (1 - want), 1.0 / draws) / draws)
+                assert abs(got - want) <= 4 * se, f"{scheme} #{it} {name}: {got} vs {want}"
+
+
+class TestKernel:
+    def test_zero_retry_probability_censors(self):
+        attempts, censored, ul, dl = draw_attempts(
+            np.array([0.0, 0.0, 1.0]), np.ones(3), np.array([0.0, 1.0, 0.0]), 5,
+            np.random.default_rng(0),
+        )
+        assert attempts.tolist() == [5, 2, 1]
+        assert censored.tolist() == [True, False, False]
+        assert ul.tolist() == [False, False, True]
+        assert dl.all()
+
+    def test_single_attempt_cap(self):
+        p = np.array([0.0, 1.0, 0.5, 0.5])
+        attempts, censored, ul, dl = draw_attempts(p, np.ones(4), 1.0, 1, np.random.default_rng(1))
+        assert np.all(attempts == 1)
+        assert np.array_equal(censored, ~ul)
+
+    def test_certain_success(self):
+        attempts, censored, ul, dl = draw_attempts(
+            np.ones(1000), np.ones(1000), 0.0, 10, np.random.default_rng(2)
+        )
+        assert np.all(attempts == 1)
+        assert not censored.any()
+        assert ul.all() and dl.all()
+
+    def test_geometric_retries(self):
+        n, p, cap = 40_000, 0.3, 6
+        attempts, censored, _, _ = draw_attempts(
+            np.zeros(n), np.ones(n), p, cap, np.random.default_rng(3)
+        )
+        for k in range(1, cap):
+            surv = float(np.mean(attempts > k))
+            want = (1 - p) ** (k - 1)
+            assert abs(surv - want) <= 4 * math.sqrt(want * (1 - want) / n)
+        assert np.all(attempts[censored] == cap)
+        want = (1 - p) ** (cap - 1)  # still failing after the first attempt and cap - 1 retries
+        assert abs(censored.mean() - want) <= 4 * math.sqrt(want * (1 - want) / n)
 
 
 class TestTrial:
     def test_guaranteed_first_attempt(self):
         # zero-ish thresholds: success on attempt 1, latency s_u + s_d
-        cfg = TrialConfig(
-            params=replace(TABLE, beta_u=1e-15, beta_d=1e-15),
-            timing=SlotTiming(),
-            iterations=1,
-            scheme="duda",
-        )
+        params = replace(TABLE, beta_u=1e-15, beta_d=1e-15)
         dep, _ = generate_deployment(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(1, 0))
-        res = run_two_way_trial(dep, cfg, np.random.default_rng(2))
-        assert res.attempts == 1
-        assert not res.censored
-        assert res.latency == pytest.approx(1.0)
+        assert min(success_probabilities(dep, params)) > 1.0 - 1e-9
+        st = run_campaign(TrialConfig(params=params, timing=SlotTiming(), iterations=20))
+        assert np.all(st.attempts == 1)
+        assert not st.censored.any()
+        assert np.allclose(st.samples, 1.0)
 
     def test_scripted_alternating_pattern(self):
-        # fail (UL fading 0), then succeed: attempts = 2,
+        # fail (UL), then succeed: attempts = 2,
         # latency = (s_u + w) + s_u + s_d
-        cfg = TrialConfig(timing=SlotTiming(), scheme="duda", iterations=1)
-        dep = isolated_pair_deployment()
-        rng = ScriptedRng([0.0, 1.0, 1.0, 1.0])
-        res = run_two_way_trial(dep, cfg, rng)
-        assert res.attempts == 2
-        assert not res.first_attempt_ul
-        assert res.first_attempt_dl
-        assert res.latency == pytest.approx((0.5 + 1.0) + 0.5 + 0.5)
+        attempts, censored, ul, dl = draw_attempts(
+            np.zeros(1), np.ones(1), 1.0, 1000, np.random.default_rng(0)
+        )
+        assert attempts.tolist() == [2]
+        assert not censored[0]
+        assert not ul[0]
+        assert dl[0]
+        lat = latency_samples(SlotTiming(), "duda", attempts, np.random.default_rng(0))
+        assert lat[0] == pytest.approx((0.5 + 1.0) + 0.5 + 0.5)
 
     def test_scripted_duca_latency_uses_frame_offset(self):
-        cfg = TrialConfig(timing=SlotTiming(), scheme="duca", iterations=1)
-        dep = isolated_pair_deployment("duca")
-        rng = ScriptedRng([0.0, 1.0, 1.0, 1.0])
-        res = run_two_way_trial(dep, cfg, rng)
-        assert res.attempts == 2
-        # ScriptedRng draws the frame offset at midpoint: t = 1.0
+        lat = latency_samples(SlotTiming(), "duca", np.array([2, 1]), MidpointRng())
+        # the frame offset sits at the midpoint: t = 1.0
         t = 1.0
         lp = (1.0 - t) * 0.5 + (3.0 - t) * 0.25
-        assert res.latency == pytest.approx(lp + (2 - 1) * 2.0 + 1.0 + 0.5)
+        assert lat[0] == pytest.approx(lp + (2 - 1) * 2.0 + 1.0 + 0.5)
+        assert lat[1] == pytest.approx(lp + 1.0 + 0.5)
 
     def test_censoring_at_cap(self):
-        cfg = TrialConfig(timing=SlotTiming(), scheme="duda", iterations=1, max_attempts=3)
-        dep = isolated_pair_deployment()
-        rng = ScriptedRng([0.0, 1.0] * 3)
-        res = run_two_way_trial(dep, cfg, rng)
-        assert res.attempts == 3
-        assert res.censored
+        # a hopeless threshold: every trial of either attempt model runs to the cap
+        params = replace(TABLE, beta_u=1e12)
+        for model in ("independent", "fixed"):
+            cfg = TrialConfig(params=params, iterations=30, max_attempts=3, attempt_model=model)
+            st = run_campaign(cfg)
+            assert np.all(st.attempts == 3)
+            assert st.censored.all()
+            assert np.allclose(st.samples, 2 * (0.5 + 1.0) + 0.5 + 0.5)
 
     def test_scheme_mismatch_rejected(self):
-        cfg = TrialConfig(scheme="duca", iterations=1)
         with pytest.raises(ValueError):
-            run_two_way_trial(isolated_pair_deployment("duda"), cfg, np.random.default_rng(0))
-
-    def test_frozen_fading_repeats_first_outcome(self):
-        # fading_redraw off: a failed first attempt can never recover
-        cfg = TrialConfig(
-            timing=SlotTiming(), scheme="duda", iterations=1,
-            fading_redraw=False, max_attempts=7,
-        )
-        dep = isolated_pair_deployment()
-        res = run_two_way_trial(dep, cfg, ScriptedRng([0.0, 1.0]))
-        assert res.attempts == 7
-        assert res.censored
+            TrialConfig(scheme="dudu")
+        with pytest.raises(ValueError):
+            TrialConfig(attempt_model="frozen")
+        assert run_campaign(TrialConfig(scheme="duca", iterations=2)).scheme == "duca"
 
 
 class TestCampaign:
@@ -239,16 +397,6 @@ class TestCampaign:
         ind = run_campaign(replace(cfg, attempt_model="independent"))
         assert ind.censored_count == 0
         assert st.attempts.mean() > ind.attempts.mean()
-
-    def test_fixed_model_matches_trial_op(self):
-        cfg = TrialConfig(iterations=50, seed=41, scheme="duda", attempt_model="fixed")
-        st = run_campaign(cfg)
-        dep, _ = generate_deployment(
-            TABLE.lambda_b, TABLE.delta, cfg.window_half_width, RngStream(cfg.seed, 0)
-        )
-        res = run_two_way_trial(dep, cfg, np.random.default_rng([cfg.seed, 0, 0xA77E]))
-        assert res.attempts == st.attempts[0]
-        assert res.latency == pytest.approx(st.samples[0])
 
     def test_direction_redraw_toggle_runs(self):
         cfg = TrialConfig(

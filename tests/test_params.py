@@ -22,8 +22,8 @@ class TestUnitConversions:
     def test_dbm_examples(self):
         assert dbm_to_watts(40.0) == pytest.approx(10.0, rel=1e-12)
         # -174 dBm = 10^(-20.4) W
-        assert dbm_to_watts(-174.0) == pytest.approx(10.0 ** (-20.4), rel=1e-12)
-        assert dbm_to_watts(-174.0) == pytest.approx(3.9810717055349695e-21, rel=1e-12)
+        assert dbm_to_watts(-174.0) == pytest.approx(10.0 ** (-20.4), rel=1e-12, abs=0.0)
+        assert dbm_to_watts(-174.0) == pytest.approx(3.9810717055349695e-21, rel=1e-12, abs=0.0)
 
     def test_db_examples(self):
         assert db_to_linear(0.0) == 1.0

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,10 @@ class TestValidationModule:
         # the DL cross-validation reports the known model-vs-simulation gap
         assert not by_name["analytic_vs_mc_rho_d"].passed
         assert by_name["analytic_vs_mc_rho_d"].measured > 0.1
+        # each empirical rho states its binomial standard error
+        for name in ("analytic_vs_mc_rho_u", "analytic_vs_mc_rho_d"):
+            p = float(by_name[name].detail.split("empirical=")[1].split()[0])
+            assert f"se={math.sqrt(p * (1 - p) / 1500):.4f}" in by_name[name].detail
         assert not report.passed
         text = report.text()
         assert "FAIL" in text and "overall" in text
