@@ -36,15 +36,11 @@ from .latency import (
 )
 from .quadrature import (
     QuadratureConvergenceError,
-    QuadratureSpec,
     interference_tail_integral,
 )
 from .coverage import (
-    InterfererDensities,
     SuccessProbabilityResult,
     dl_success_probability,
-    laplace_ul_from_dl_bs,
-    laplace_ul_from_ul_ue,
     nearest_distance_pdf,
     second_nearest_distance_pdf,
     ul_success_probability,
@@ -71,10 +67,8 @@ __all__ = [
     "LatencyBreakdown", "latency_duca", "latency_duda", "latency_gap",
     "n_shot_success", "protocol_delay_expected", "protocol_delay_sample",
     "retransmission_delay",
-    "QuadratureConvergenceError", "QuadratureSpec",
-    "interference_tail_integral",
-    "InterfererDensities", "SuccessProbabilityResult",
-    "dl_success_probability", "laplace_ul_from_dl_bs", "laplace_ul_from_ul_ue",
+    "QuadratureConvergenceError", "interference_tail_integral",
+    "SuccessProbabilityResult", "dl_success_probability",
     "nearest_distance_pdf", "second_nearest_distance_pdf", "ul_success_probability",
     "Deployment", "RngStream", "assign_directions_and_ues", "delaunay_adjacency",
     "generate_deployment", "pair_bs", "sample_ppp", "snapshot_csv",

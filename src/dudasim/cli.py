@@ -22,9 +22,9 @@ from .config import ConfigBundle, ConfigError, parse_config
 from .coverage import dl_success_probability, ul_success_probability
 from .deployment import RngStream, generate_deployment, snapshot_csv
 from .latency import latency_duca, latency_duda
-from .montecarlo import run_campaign, run_synthetic_campaign, samples_csv
+from .montecarlo import samples_csv
 from .params import LinkSuccess
-from .sweep import SweepRow, rows_to_csv, run_sweep
+from .sweep import SweepRow, rows_to_csv, run_sweep, simulate_campaign, simulate_row
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -132,22 +132,8 @@ def _cmd_simulate(args, bundle: ConfigBundle) -> int:
     rows: List[SweepRow] = []
     raw_parts: List[str] = []
     for scheme in bundle.sweep.schemes:
-        cfg = replace(bundle.trial, scheme=scheme)
-        if bundle.forced_link is not None:
-            stats = run_synthetic_campaign(
-                bundle.forced_link.rho_u, bundle.forced_link.rho_d,
-                bundle.timing, scheme, cfg.iterations, cfg.seed, cfg.max_attempts,
-            )
-        else:
-            stats = run_campaign(cfg)
-        rows.append(
-            SweepRow(
-                variable="s_u", value=bundle.timing.s_u, scheme=scheme, mode="simulate",
-                latency_mean=stats.mean, latency_ci95=stats.ci95_half_width,
-                rho_u=stats.empirical_rho_u, rho_d=stats.empirical_rho_d,
-                censored_fraction=stats.censored_fraction,
-            )
-        )
+        stats = simulate_campaign(replace(bundle.trial, scheme=scheme), bundle.forced_link)
+        rows.append(simulate_row("s_u", bundle.timing.s_u, stats))
         if getattr(args, "samples_out", None) is not None:
             raw_parts.append(samples_csv(stats))
     _emit(rows_to_csv(rows, bundle.emit_timing), args.out)

@@ -159,21 +159,29 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         key = _FIELD_SOURCES.get(fld, "")
         raise ConfigError("; ".join(violations), lines.get(key, 0))
 
+    iterations, max_attempts = get("iterations", 10000), get("max_attempts", 1000)
+    window_side = get("window_side", 150.0)
+    for key, bad, rule in (
+        ("iterations", iterations < 1, "at least 1"),
+        ("max_attempts", max_attempts < 1, "at least 1"),
+        ("window_side", not window_side > 0, "positive"),
+    ):
+        if bad:
+            raise ConfigError(f"{key} must be {rule}", lines.get(key, 0))
+
     scheme_choice = get("scheme", "both")
     trial = TrialConfig(
         params=params,
         timing=timing,
-        iterations=get("iterations", 10000),
-        max_attempts=get("max_attempts", 1000),
+        iterations=iterations,
+        max_attempts=max_attempts,
         scheme="duda" if scheme_choice == "both" else scheme_choice,
         seed=get("seed", 0),
         direction_redraw=get("direction_redraw", "off") == "on",
         attempt_model=get("attempt_model", "independent"),
         typical_mode=get("typical_mode", "dl"),
-        window_half_width=get("window_side", 150.0) / 2.0,
+        window_half_width=window_side / 2.0,
     )
-    if trial.iterations < 1:
-        raise ConfigError("iterations must be at least 1", lines.get("iterations", 0))
 
     schemes = ("duda", "duca") if scheme_choice == "both" else (scheme_choice,)
     sweep = SweepSpec(

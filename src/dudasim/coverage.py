@@ -1,30 +1,44 @@
 """Analytical transmission success probabilities for the decoupled scheme.
 
 Under Rayleigh fading, the probability that a link's SINR clears its
-threshold factorizes into Laplace functionals of the interfering fields
-evaluated at s = beta * r^alpha / P_signal:
+threshold beta is the Laplace functional of the interference at
+s = beta * r^alpha / P_signal (times exp(-s*sigma^2) with noise).  A Poisson
+field of density lambda' with power ratio kappa to the signal, excluded
+within a, contributes exp(-2*pi*lambda'*T), where T is the interference tail
+of the quadrature module; it scales as T = r^2 * T(kappa, beta, a/r) with
+T(kappa, beta, a) the tail at r = 1.  A pair serves one active link, so of
+the pair density 0.5*lambda_b a fraction delta transmits in DL and 1-delta
+in UL:
 
-* UL data, received at the serving (nearest) BS: interference from other
-  pairs' DL base stations (field density 0.5*delta*lambda_b, excluded
-  within the second-nearest-BS distance, which is averaged over its own
-  law) and from active UL terminals (density 0.5*(1-delta)*lambda_b,
-  excluded within the serving distance r).
+* UL data, received at the serving (nearest) BS at distance r: interference
+  from other pairs' DL base stations (density 0.5*delta*lambda_b, power
+  ratio p_b/p_m, excluded within the distance t to the second-nearest BS)
+  and from active UL terminals (density 0.5*(1-delta)*lambda_b, excluded
+  within r).
 * DL ACK, received at the terminal from the pair's far BS: the serving
   distance follows the second-nearest-neighbour law; BS interferers are
-  excluded within r, terminal interferers are not excluded at all.  This
-  direction is an approximation by construction (the exclusion argument
-  is borrowed from nearest-BS association).
+  excluded within r, terminal interferers (power ratio p_m/p_b) are not
+  excluded at all.  This direction is an approximation by construction
+  (the exclusion argument is borrowed from nearest-BS association).
 
-The outer expectations over link distance integrate the functionals
-against the nearest / second-nearest distance densities.  The printed DL
-weight 2*pi*lambda^2*r^3*exp(-pi*lambda*r^2) is not normalized; the
-normalized second-nearest density (an extra factor pi) is used so the
-result is a probability.
+In u = pi*lambda_b*r^2 the nearest-distance law is exp(-u) du and the
+second-nearest law u*exp(-u) du.  (The printed DL weight
+2*pi*lambda^2*r^3*exp(-pi*lambda*r^2) is not normalized; the normalized law,
+with an extra factor pi, is used so the result is a probability.)  Every
+exponent is then a constant times u, so the distance expectations are Gamma
+integrals, taken to infinity without truncation:
 
-Noise: the success-probability integrands here omit the thermal-noise
-factor exp(-s*sigma^2) by default, matching the interference-limited
-closed forms; ``include_noise=True`` restores it.  At the default powers
-the factor differs from 1 by less than 1e-10.
+    rho_d = M_2(1 + K),  K = delta*T(1, beta_d, 1) + (1-delta)*T(p_m/p_b, beta_d, 0)
+    rho_u = int_0^inf w * M_3(B(w)) dw,  w = (t/r)^2,
+    B(w)  = 1 + (1-delta)*T(1, beta_u, 1) + w + delta*T(p_b/p_m, beta_u, sqrt(w))
+
+with M_n(B) = int_0^inf u^(n-1) exp(-B*u - nu*u^(alpha/2)) du.  Without noise
+(nu = 0) M_n(B) = Gamma(n)/B^n exactly: DL is closed form and UL is one
+quadrature over w.  Noise is off by default, matching the
+interference-limited closed forms; ``include_noise=True`` sets
+nu = beta*sigma^2/P_signal / (pi*lambda_b)^(alpha/2), and M_n becomes a
+quadrature too.  At the default powers noise changes either probability by
+less than 1e-10.
 """
 
 from __future__ import annotations
@@ -35,32 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    integrate_finite,
-    interference_tail_integral,
-)
-
-
-@dataclass(frozen=True)
-class InterfererDensities:
-    """Densities of the two interfering fields seen by a typical link.
-
-    A cooperating pair serves a single active link, so of the pair density
-    0.5*lambda_b a fraction delta transmits in DL (the pair's DL-BS) and
-    1-delta in UL (the pair's active terminal).
-    """
-
-    lambda_psi: float  # interfering DL base stations, per m^2
-    lambda_phi: float  # interfering UL terminals, per m^2
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "InterfererDensities":
-        return cls(
-            lambda_psi=0.5 * params.delta * params.lambda_b,
-            lambda_phi=0.5 * (1.0 - params.delta) * params.lambda_b,
-        )
+from .quadrature import IntegrationResult, integrate_finite, interference_tail_integral
 
 
 @dataclass(frozen=True)
@@ -99,113 +88,60 @@ def second_nearest_distance_cdf(d, lam: float):
     return out if out.ndim else float(out)
 
 
-def nearest_truncation_radius(lam: float, tail_mass: float) -> float:
-    """Radius beyond which the nearest-distance law has at most tail_mass."""
-    return math.sqrt(math.log(1.0 / tail_mass) / (math.pi * lam))
+def _tail(kappa: float, beta: float, alpha: float, a: float) -> float:
+    """Interference tail at unit serving distance, T(kappa, beta, a)."""
+    return interference_tail_integral(kappa, beta, 1.0, alpha, a).value
 
 
-def second_nearest_truncation_radius(lam: float, tail_mass: float) -> float:
-    """Radius beyond which the second-nearest law has at most tail_mass.
-
-    Solves (1+x)*exp(-x) = tail_mass for x = pi*lam*R^2 by fixed point."""
-    x = math.log(1.0 / tail_mass)
-    for _ in range(20):
-        x = math.log(1.0 / tail_mass) + math.log1p(x)
-    return math.sqrt(x / (math.pi * lam))
+def _noise_nu(params: SystemParams, beta: float, power: float, include_noise: bool) -> float:
+    """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2)."""
+    if not include_noise:
+        return 0.0
+    return beta * params.noise_power / power / (math.pi * params.lambda_b) ** (params.alpha / 2)
 
 
-def laplace_ul_from_dl_bs(
-    r: float, params: SystemParams, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """Laplace functional of DL-BS interference at the serving BS of a
-    typical UL link of distance r.
+def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> IntegrationResult:
+    """M_n(b) = int_0^inf u^(n-1) exp(-b*u - nu*u^(alpha/2)) du: Gamma(n)/b^n
+    for nu = 0, otherwise a quadrature in x, with b*u = n*x/(1-x)."""
+    if nu == 0.0:
+        return IntegrationResult(math.gamma(n) / b**n, 0.0)
 
-    The nearest interfering DL-BS lies at the second-nearest-BS distance
-    (the pair partner is the nearest), so the exclusion radius is averaged
-    over the second-nearest law of the full BS field.
-    """
-    dens = InterfererDensities.from_params(params)
-    kappa = params.p_b / params.p_m
+    def integrand(x: float) -> float:
+        s = n * x / (1.0 - x)
+        return s ** (n - 1) * math.exp(-s - nu * (s / b) ** (alpha / 2)) * n / (1.0 - x) ** 2
 
-    def integrand(t: float) -> float:
-        tail = interference_tail_integral(kappa, params.beta_u, r, params.alpha, t).value
-        return math.exp(-2.0 * math.pi * dens.lambda_psi * tail) * second_nearest_distance_pdf(
-            t, params.lambda_b
-        )
-
-    upper = second_nearest_truncation_radius(params.lambda_b, spec.tail_cutoff_mass)
-    return integrate_finite(integrand, 0.0, upper, spec).value
-
-
-def laplace_ul_from_ul_ue(r: float, params: SystemParams) -> float:
-    """Laplace functional of UL-terminal interference at the serving BS of a
-    typical UL link of distance r; interferers are excluded within r."""
-    dens = InterfererDensities.from_params(params)
-    tail = interference_tail_integral(1.0, params.beta_u, r, params.alpha, r).value
-    return math.exp(-2.0 * math.pi * dens.lambda_phi * tail)
-
-
-def _dl_laplace_product(r: float, params: SystemParams) -> float:
-    """Product of the two DL-side Laplace functionals at serving distance r:
-    DL-BS interferers are excluded within r (none is closer than the serving
-    station), UL-terminal interferers are not excluded at all."""
-    dens = InterfererDensities.from_params(params)
-    tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r).value
-    tail_ue = interference_tail_integral(
-        params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0
-    ).value
-    return math.exp(
-        -2.0 * math.pi * (dens.lambda_psi * tail_bs + dens.lambda_phi * tail_ue)
-    )
+    res = integrate_finite(integrand, 0.0, 1.0)
+    return IntegrationResult(res.value / b**n, res.error / b**n)
 
 
 def ul_success_probability(
-    params: SystemParams,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    include_noise: bool = False,
+    params: SystemParams, include_noise: bool = False
 ) -> SuccessProbabilityResult:
-    """Probability that a typical UL data transmission clears beta_u.
+    """Probability that a typical UL data transmission clears beta_u:
+    int_0^inf w*M_3(B(w)) dw, one quadrature over the partner-distance
+    ratio w, mapped onto [0, 1) by w = b0*x/(1-x)."""
+    alpha, delta, beta = params.alpha, params.delta, params.beta_u
+    kappa = params.p_b / params.p_m
+    b0 = 1.0 + (1.0 - delta) * _tail(1.0, beta, alpha, 1.0)
+    nu = _noise_nu(params, beta, params.p_m, include_noise)
 
-    Integrates the UL Laplace functionals against the nearest-distance law
-    of the serving link.
-    """
+    def integrand(x: float) -> float:
+        w = b0 * x / (1.0 - x)
+        b = b0 + w + delta * _tail(kappa, beta, alpha, math.sqrt(w))
+        return w * _gamma_moment(3, b, nu, alpha).value * b0 / (1.0 - x) ** 2
 
-    def integrand(r: float) -> float:
-        val = (
-            laplace_ul_from_dl_bs(r, params, spec)
-            * laplace_ul_from_ul_ue(r, params)
-            * nearest_distance_pdf(r, params.lambda_b)
-        )
-        if include_noise:
-            s = params.beta_u * r**params.alpha / params.p_m
-            val *= math.exp(-s * params.noise_power)
-        return val
-
-    upper = nearest_truncation_radius(params.lambda_b, spec.tail_cutoff_mass)
-    res = integrate_finite(integrand, 0.0, upper, spec)
+    res = integrate_finite(integrand, 0.0, 1.0)
     return SuccessProbabilityResult(value=res.value, quadrature_error=res.error)
 
 
 def dl_success_probability(
-    params: SystemParams,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    include_noise: bool = False,
+    params: SystemParams, include_noise: bool = False
 ) -> SuccessProbabilityResult:
-    """Probability that a typical DL ACK transmission clears beta_d.
-
-    The serving DL-BS is the pair's far member, so the outer expectation
-    runs over the (normalized) second-nearest distance law.
-    """
-
-    def integrand(r: float) -> float:
-        val = _dl_laplace_product(r, params) * second_nearest_distance_pdf(
-            r, params.lambda_b
-        )
-        if include_noise:
-            s = params.beta_d * r**params.alpha / params.p_b
-            val *= math.exp(-s * params.noise_power)
-        return val
-
-    upper = second_nearest_truncation_radius(params.lambda_b, spec.tail_cutoff_mass)
-    res = integrate_finite(integrand, 0.0, upper, spec)
+    """Probability that a typical DL ACK transmission clears beta_d:
+    M_2(1 + K), which is 1/(1+K)^2 without noise."""
+    alpha, delta, beta = params.alpha, params.delta, params.beta_d
+    k = delta * _tail(1.0, beta, alpha, 1.0) + (1.0 - delta) * _tail(
+        params.p_m / params.p_b, beta, alpha, 0.0
+    )
+    res = _gamma_moment(2, 1.0 + k, _noise_nu(params, beta, params.p_b, include_noise), alpha)
     return SuccessProbabilityResult(value=res.value, quadrature_error=res.error)

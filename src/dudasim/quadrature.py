@@ -1,47 +1,27 @@
-"""Closed-form interference tail, and adaptive quadrature for the outer
-expectations over link distance.
+"""Closed-form interference tail, and adaptive quadrature for the success
+probabilities that have no closed form.
 
 Every Laplace functional of a Poisson interference field reduces to one tail
 integral, a Gauss hypergeometric function (the rho(T, alpha) of Andrews,
-Baccelli and Ganti, IEEE TCOM 2011).  Its expectations over serving and
-exclusion distances run on QUADPACK (scipy.integrate.quad: adaptive
-Gauss-Kronrod with an error estimate) over truncated distance laws.
+Baccelli and Ganti, IEEE TCOM 2011).  The expectations over link distance
+are exact Gamma integrals except the UL average over the partner distance,
+and the noise factor when noise is on; those run on QUADPACK
+(scipy.integrate.quad: adaptive Gauss-Kronrod with an error estimate) over
+a finite interval, with the tolerances below.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hyp2f1
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrator; ``tail_cutoff_mass``
-    bounds the probability mass discarded when a density-weighted outer
-    integral is truncated to a finite radius (see the coverage module)."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_cutoff_mass: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if not 0 < self.tail_cutoff_mass < 1e-6:
-            raise ValueError("tail_cutoff_mass must lie in (0, 1e-6)")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 200
 
 
 class IntegrationResult(NamedTuple):
@@ -59,17 +39,15 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
-def integrate_finite(
-    f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> IntegrationResult:
+def integrate_finite(f: Callable[[float], float], a: float, b: float) -> IntegrationResult:
     """Adaptive integral of f over [a, b] with its error estimate; raises
-    QuadratureConvergenceError if max_subdivisions is exhausted first."""
+    QuadratureConvergenceError if MAX_SUBDIVISIONS is exhausted first."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                   limit=spec.max_subdivisions, full_output=1)
+        out = quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,
+                   limit=MAX_SUBDIVISIONS, full_output=1)
     if len(out) > 3:  # an explanation message is appended on failure
-        msg = "finite integral did not converge within max_subdivisions"
+        msg = "finite integral did not converge within MAX_SUBDIVISIONS"
         raise QuadratureConvergenceError(msg, out[0], out[1])
     return IntegrationResult(out[0], out[1])
 

@@ -25,7 +25,7 @@ import numpy as np
 from .config import ConfigBundle, SweepSpec
 from .coverage import dl_success_probability, ul_success_probability
 from .latency import latency_duca, latency_duda
-from .montecarlo import run_campaign, run_synthetic_campaign
+from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign
 from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig, db_to_linear
 
 
@@ -112,22 +112,20 @@ def _analytic_row(
     )
 
 
-def _simulate_row(
-    spec: SweepSpec, value: float, scheme: str, params: SystemParams,
-    timing: SlotTiming, forced: Optional[LinkSuccess], trial: TrialConfig,
-    point: int,
-) -> SweepRow:
-    seed = _point_seed(trial.seed, point)
+def simulate_campaign(trial: TrialConfig, forced: Optional[LinkSuccess]) -> LatencyStats:
+    """One scheme's Monte Carlo campaign: Bernoulli attempts at a forced
+    (rho_u, rho_d), bypassing the geometry, or the geometry campaign."""
     if forced is not None:
-        stats = run_synthetic_campaign(
-            forced.rho_u, forced.rho_d, timing, scheme,
-            trial.iterations, seed, trial.max_attempts,
+        return run_synthetic_campaign(
+            forced.rho_u, forced.rho_d, trial.timing, trial.scheme,
+            trial.iterations, trial.seed, trial.max_attempts,
         )
-    else:
-        cfg = replace(trial, params=params, timing=timing, scheme=scheme, seed=seed)
-        stats = run_campaign(cfg)
+    return run_campaign(trial)
+
+
+def simulate_row(variable: str, value: float, stats: LatencyStats) -> SweepRow:
     return SweepRow(
-        variable=spec.variable, value=value, scheme=scheme, mode="simulate",
+        variable=variable, value=value, scheme=stats.scheme, mode="simulate",
         latency_mean=stats.mean, latency_ci95=stats.ci95_half_width,
         rho_u=stats.empirical_rho_u, rho_d=stats.empirical_rho_d,
         censored_fraction=stats.censored_fraction,
@@ -166,10 +164,11 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
                     if mode == "analytic":
                         row = _analytic_row(spec, value, scheme, timing, analytic_link())
                     else:
-                        row = _simulate_row(
-                            spec, value, scheme, params, timing, forced,
-                            bundle.trial, point,
+                        cfg = replace(
+                            bundle.trial, params=params, timing=timing, scheme=scheme,
+                            seed=_point_seed(bundle.trial.seed, point),
                         )
+                        row = simulate_row(spec.variable, value, simulate_campaign(cfg, forced))
                 except Exception as exc:  # propagate per-row, keep sweeping
                     print(
                         f"sweep point {spec.variable}={value:.6g} {scheme}/{mode} failed: {exc}",

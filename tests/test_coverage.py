@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dudasim import coverage
 from dudasim.coverage import (
-    InterfererDensities,
     dl_success_probability,
-    laplace_ul_from_dl_bs,
-    laplace_ul_from_ul_ue,
     nearest_distance_cdf,
     nearest_distance_pdf,
-    nearest_truncation_radius,
     second_nearest_distance_cdf,
     second_nearest_distance_pdf,
-    second_nearest_truncation_radius,
     ul_success_probability,
 )
-from dudasim.params import SystemParams, db_to_linear
+from dudasim.params import SystemParams, db_to_linear, dbm_to_watts
 from dudasim.quadrature import interference_tail_integral
 
 from helpers import (
@@ -32,31 +28,94 @@ TABLE = SystemParams()
 MEAN_LINK_DISTANCE = 0.5 / math.sqrt(TABLE.lambda_b)  # 7.071 m
 
 
-def dl_functionals(r, params):
+def field_densities(params):
+    """(DL-BS, UL-terminal) interferer densities: a pair serves one active
+    link, so of the pair density 0.5*lambda_b a fraction delta transmits in
+    DL and 1-delta in UL."""
+    return 0.5 * params.delta * params.lambda_b, 0.5 * (1.0 - params.delta) * params.lambda_b
+
+
+def dl_functionals(r, params, densities=None):
     """Laplace functionals of the two DL-side fields at the typical terminal,
     exp(-2 pi lambda tail), at serving distance r: DL-BS interferers are
     excluded within r, UL-terminal interferers are not excluded at all."""
-    dens = InterfererDensities.from_params(params)
+    lam_psi, lam_phi = densities or field_densities(params)
     tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r).value
     tail_ue = interference_tail_integral(
         params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0
     ).value
     return (
-        math.exp(-2 * math.pi * dens.lambda_psi * tail_bs),
-        math.exp(-2 * math.pi * dens.lambda_phi * tail_ue),
+        math.exp(-2 * math.pi * lam_psi * tail_bs),
+        math.exp(-2 * math.pi * lam_phi * tail_ue),
     )
 
 
+def ul_functionals(r, t, params, densities=None):
+    """Laplace functionals of the two UL-side fields at the serving BS at
+    distance r: DL-BS interferers (power ratio p_b/p_m) are excluded within
+    the partner distance t, UL terminals within r."""
+    lam_psi, lam_phi = densities or field_densities(params)
+    tail_bs = interference_tail_integral(
+        params.p_b / params.p_m, params.beta_u, r, params.alpha, t
+    ).value
+    tail_ue = interference_tail_integral(1.0, params.beta_u, r, params.alpha, r).value
+    return (
+        math.exp(-2 * math.pi * lam_psi * tail_bs),
+        math.exp(-2 * math.pi * lam_phi * tail_ue),
+    )
+
+
+def ul_dl_bs_functional(r, params, densities=None):
+    """DL-BS functional at the serving BS averaged over the partner distance
+    t, which follows the second-nearest law: the nested inner integral over
+    the exclusion radius, taken to infinity in v = pi lambda t^2 (law
+    v exp(-v) dv), so that it holds at any density."""
+    scale = 1.0 / math.sqrt(math.pi * params.lambda_b)
+    value, _ = quad(
+        lambda v: ul_functionals(r, scale * math.sqrt(v), params, densities)[0]
+        * v * math.exp(-v),
+        0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200,
+    )
+    return value
+
+
+def nested_success_probabilities(params, densities=None, include_noise=False):
+    """(rho_u, rho_d) as nested integrals, serving distance r outside (over
+    its distance law) and partner distance t inside, untruncated, with the
+    noise factor exp(-beta r^alpha sigma^2 / P) when asked: an independent
+    reference for the package's Gamma-integral forms."""
+    lam, alpha = params.lambda_b, params.alpha
+
+    def noise(beta, power, r):
+        return math.exp(-beta * r**alpha / power * params.noise_power) if include_noise else 1.0
+
+    def ul(r):
+        _, ue = ul_functionals(r, r, params, densities)
+        return (ul_dl_bs_functional(r, params, densities) * ue
+                * noise(params.beta_u, params.p_m, r) * nearest_distance_pdf(r, lam))
+
+    def dl(r):
+        bs, ue = dl_functionals(r, params, densities)
+        return bs * ue * noise(params.beta_d, params.p_b, r) * second_nearest_distance_pdf(r, lam)
+
+    opts = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
+    return quad(ul, 0.0, np.inf, **opts)[0], quad(dl, 0.0, np.inf, **opts)[0]
+
+
 class TestDensities:
+    """The interfering fields' densities, checked through the success
+    probabilities against nested references with the densities as literals."""
+
     def test_from_params(self):
-        d = InterfererDensities.from_params(TABLE)
-        assert d.lambda_psi == pytest.approx(0.5 * 0.5 * 0.005)
-        assert d.lambda_phi == pytest.approx(0.5 * 0.5 * 0.005)
+        want_u, want_d = nested_success_probabilities(TABLE, (0.5 * 0.5 * 0.005, 0.5 * 0.5 * 0.005))
+        assert ul_success_probability(TABLE).value == pytest.approx(want_u, rel=1e-8, abs=0.0)
+        assert dl_success_probability(TABLE).value == pytest.approx(want_d, rel=1e-8, abs=0.0)
 
     def test_traffic_split(self):
-        d = InterfererDensities.from_params(replace(TABLE, delta=0.8))
-        assert d.lambda_psi == pytest.approx(0.002)
-        assert d.lambda_phi == pytest.approx(0.0005)
+        p = replace(TABLE, delta=0.8)
+        want_u, want_d = nested_success_probabilities(p, (0.002, 0.0005))
+        assert ul_success_probability(p).value == pytest.approx(want_u, rel=1e-8, abs=0.0)
+        assert dl_success_probability(p).value == pytest.approx(want_d, rel=1e-8, abs=0.0)
 
 
 class TestDistanceLaws:
@@ -85,63 +144,60 @@ class TestDistanceLaws:
             v1, _ = quad(lambda x: nearest_distance_pdf(x, lam), 0, d)
             assert v1 == pytest.approx(nearest_distance_cdf(d, lam), rel=1e-9)
 
-    def test_truncation_radii(self):
-        lam, mass = 0.005, 1e-9
-        r1 = nearest_truncation_radius(lam, mass)
-        r2 = second_nearest_truncation_radius(lam, mass)
-        assert 1.0 - nearest_distance_cdf(r1, lam) == pytest.approx(mass, rel=1e-6, abs=0.0)
-        assert 1.0 - second_nearest_distance_cdf(r2, lam) == pytest.approx(mass, rel=1e-6, abs=0.0)
-        assert r2 > r1
-
 
 class TestLaplaceLimits:
     def test_zero_threshold_is_transparent(self):
         p = replace(TABLE, beta_u=1e-15, beta_d=1e-15)
         r = MEAN_LINK_DISTANCE
-        assert laplace_ul_from_dl_bs(r, p) == pytest.approx(1.0, abs=1e-6)
-        assert laplace_ul_from_ul_ue(r, p) == pytest.approx(1.0, abs=1e-6)
+        assert ul_dl_bs_functional(r, p) == pytest.approx(1.0, abs=1e-6)
+        assert ul_functionals(r, r, p)[1] == pytest.approx(1.0, abs=1e-6)
         dl_bs, dl_ue = dl_functionals(r, p)
         assert dl_bs == pytest.approx(1.0, abs=1e-6)
         assert dl_ue == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_field_is_transparent(self):
         p = replace(TABLE, lambda_b=1e-12)
-        assert laplace_ul_from_dl_bs(5.0, p) == pytest.approx(1.0, abs=1e-5)
+        assert ul_dl_bs_functional(5.0, p) == pytest.approx(1.0, abs=1e-5)
 
     def test_all_downlink_silences_ul_terminals(self):
         p = replace(TABLE, delta=1.0 - 1e-12)
-        assert laplace_ul_from_ul_ue(MEAN_LINK_DISTANCE, p) == pytest.approx(1.0, abs=1e-9)
+        assert ul_functionals(MEAN_LINK_DISTANCE, MEAN_LINK_DISTANCE, p)[1] == pytest.approx(
+            1.0, abs=1e-9
+        )
 
     def test_all_uplink_silences_dl_stations(self):
         p = replace(TABLE, delta=1e-12)
-        # floor set by the outer-law truncation mass (1e-9)
-        assert laplace_ul_from_dl_bs(MEAN_LINK_DISTANCE, p) == pytest.approx(1.0, abs=1e-8)
+        assert ul_dl_bs_functional(MEAN_LINK_DISTANCE, p) == pytest.approx(1.0, abs=1e-9)
 
     def test_outputs_in_unit_interval_and_monotone(self):
         r = MEAN_LINK_DISTANCE
-        values = (laplace_ul_from_dl_bs(r, TABLE), laplace_ul_from_ul_ue(r, TABLE),
+        values = (ul_dl_bs_functional(r, TABLE), ul_functionals(r, r, TABLE)[1],
                   *dl_functionals(r, TABLE))
         for v in values:
             assert 0.0 < v <= 1.0
         # non-increasing in the threshold
-        lo = laplace_ul_from_ul_ue(r, replace(TABLE, beta_u=2.0))
-        assert lo < laplace_ul_from_ul_ue(r, TABLE)
+        lo = ul_functionals(r, r, replace(TABLE, beta_u=2.0))[1]
+        assert lo < ul_functionals(r, r, TABLE)[1]
 
 
 class TestUlTerminalFunctionalClosedForm:
     def test_arctan_form(self):
         # kappa = 1, alpha = 4: exponent is
         # -2 pi lam_phi (r^2 sqrt(beta)/2)(pi/2 - arctan(1/sqrt(beta)))
-        dens = InterfererDensities.from_params(TABLE)
+        lam_phi = 0.5 * 0.5 * 0.005
         for beta_u in (0.5, 1.0, 3.0):
             p = replace(TABLE, beta_u=beta_u)
+            sb = math.sqrt(beta_u)
+            tail = (sb / 2) * (math.pi / 2 - math.atan(1.0 / sb))  # at r = 1
             for r in (3.0, 7.0, 12.0):
-                sb = math.sqrt(beta_u)
-                want = math.exp(
-                    -2 * math.pi * dens.lambda_phi * (r * r * sb / 2)
-                    * (math.pi / 2 - math.atan(1.0 / sb))
-                )
-                assert laplace_ul_from_ul_ue(r, p) == pytest.approx(want, rel=1e-8)
+                want = math.exp(-2 * math.pi * lam_phi * r * r * tail)
+                assert ul_functionals(r, r, p)[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+            # with the DL stations silenced, rho_u = int w 2/(b0 + w)^3 dw = 1/b0,
+            # b0 = 1 + (1-delta) tail
+            quiet = replace(p, p_b=1e-300)
+            assert ul_success_probability(quiet).value == pytest.approx(
+                1.0 / (1.0 + 0.5 * tail), rel=1e-10, abs=0.0
+            )
 
 
 @pytest.mark.slow
@@ -153,36 +209,36 @@ class TestFieldOracles:
     def test_ul_from_dl_bs(self):
         rng = np.random.default_rng(101)
         r = MEAN_LINK_DISTANCE
-        dens = InterfererDensities.from_params(TABLE)
+        lam_psi, _ = field_densities(TABLE)
         c = (TABLE.p_b / TABLE.p_m) * TABLE.beta_u * r**TABLE.alpha
         t = sample_second_nearest_distance(rng, TABLE.lambda_b, self.N_REAL)
         logs = field_log_products(
-            rng, dens.lambda_psi, t, np.full(self.N_REAL, c), TABLE.alpha
+            rng, lam_psi, t, np.full(self.N_REAL, c), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
-        got = laplace_ul_from_dl_bs(r, TABLE)
+        got = ul_dl_bs_functional(r, TABLE)
         assert abs(got - mean) < max(3 * se, 1e-4)
         assert abs(got - mean) < 0.01
 
     def test_ul_from_ul_ue(self):
         rng = np.random.default_rng(103)
         r = MEAN_LINK_DISTANCE
-        dens = InterfererDensities.from_params(TABLE)
+        _, lam_phi = field_densities(TABLE)
         c = TABLE.beta_u * r**TABLE.alpha
         logs = field_log_products(
-            rng, dens.lambda_phi, np.full(self.N_REAL, r), np.full(self.N_REAL, c), TABLE.alpha
+            rng, lam_phi, np.full(self.N_REAL, r), np.full(self.N_REAL, c), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
-        got = laplace_ul_from_ul_ue(r, TABLE)
+        got = ul_functionals(r, r, TABLE)[1]
         assert abs(got - mean) < max(3 * se, 1e-4)
 
     def test_dl_functionals(self):
         rng = np.random.default_rng(105)
         r = 10.6
-        dens = InterfererDensities.from_params(TABLE)
+        lam_psi, lam_phi = field_densities(TABLE)
         c_bs = TABLE.beta_d * r**TABLE.alpha
         logs = field_log_products(
-            rng, dens.lambda_psi, np.full(self.N_REAL, r), np.full(self.N_REAL, c_bs), TABLE.alpha
+            rng, lam_psi, np.full(self.N_REAL, r), np.full(self.N_REAL, c_bs), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
         dl_bs, dl_ue = dl_functionals(r, TABLE)
@@ -190,7 +246,7 @@ class TestFieldOracles:
 
         c_ue = (TABLE.p_m / TABLE.p_b) * TABLE.beta_d * r**TABLE.alpha
         logs = field_log_products(
-            rng, dens.lambda_phi, np.zeros(self.N_REAL), np.full(self.N_REAL, c_ue), TABLE.alpha
+            rng, lam_phi, np.zeros(self.N_REAL), np.full(self.N_REAL, c_ue), TABLE.alpha
         )
         mean, se = mc_mean_and_se(np.exp(logs))
         assert abs(dl_ue - mean) < max(3 * se, 1e-4)
@@ -205,13 +261,13 @@ class TestSuccessProbabilityOracles:
 
     def test_ul_success(self):
         rng = np.random.default_rng(107)
-        dens = InterfererDensities.from_params(TABLE)
+        lam_psi, lam_phi = field_densities(TABLE)
         r = sample_nearest_distance(rng, TABLE.lambda_b, self.N_REAL)
         t = sample_second_nearest_distance(rng, TABLE.lambda_b, self.N_REAL)
         c_psi = (TABLE.p_b / TABLE.p_m) * TABLE.beta_u * r**TABLE.alpha
         c_phi = TABLE.beta_u * r**TABLE.alpha
-        logs = field_log_products(rng, dens.lambda_psi, t, c_psi, TABLE.alpha)
-        logs += field_log_products(rng, dens.lambda_phi, r, c_phi, TABLE.alpha)
+        logs = field_log_products(rng, lam_psi, t, c_psi, TABLE.alpha)
+        logs += field_log_products(rng, lam_phi, r, c_phi, TABLE.alpha)
         mean, se = mc_mean_and_se(np.exp(logs))
         got = ul_success_probability(TABLE)
         assert got.quadrature_error < 1e-6
@@ -220,12 +276,12 @@ class TestSuccessProbabilityOracles:
 
     def test_dl_success(self):
         rng = np.random.default_rng(109)
-        dens = InterfererDensities.from_params(TABLE)
+        lam_psi, lam_phi = field_densities(TABLE)
         r = sample_second_nearest_distance(rng, TABLE.lambda_b, self.N_REAL)
         c_psi = TABLE.beta_d * r**TABLE.alpha
         c_phi = (TABLE.p_m / TABLE.p_b) * TABLE.beta_d * r**TABLE.alpha
-        logs = field_log_products(rng, dens.lambda_psi, r, c_psi, TABLE.alpha)
-        logs += field_log_products(rng, dens.lambda_phi, np.zeros(self.N_REAL), c_phi, TABLE.alpha)
+        logs = field_log_products(rng, lam_psi, r, c_psi, TABLE.alpha)
+        logs += field_log_products(rng, lam_phi, np.zeros(self.N_REAL), c_phi, TABLE.alpha)
         mean, se = mc_mean_and_se(np.exp(logs))
         got = dl_success_probability(TABLE)
         assert 0.0 < got.value < 1.0
@@ -259,13 +315,12 @@ class TestSuccessProbabilityShape:
         quiet = dl_success_probability(replace(TABLE, p_m=1e-12)).value
         assert quiet > base
         # with terminals silenced, only the BS field attenuates
-        dens = InterfererDensities.from_params(TABLE)
         want, _ = quad(
             lambda r: dl_functionals(r, TABLE)[0]
             * second_nearest_distance_pdf(r, TABLE.lambda_b),
-            0.0,
-            second_nearest_truncation_radius(TABLE.lambda_b, 1e-9),
+            0.0, np.inf, epsabs=1e-14, epsrel=1e-11,
         )
+        # (p_m = 1e-12 leaves a terminal-field term of about 1e-7)
         assert quiet == pytest.approx(want, abs=1e-6)
 
     def test_noise_factor_negligible_at_table_powers(self):
@@ -284,9 +339,47 @@ class TestSuccessProbabilityShape:
         assert dl_success_probability(TABLE).value == pytest.approx(0.8353827, abs=2e-6)
 
 
+class TestNoise:
+    # -30 dBm noise and a 10 dBm BS: noise lowers rho_u by ~5% and rho_d by ~18%
+    NOISY = replace(TABLE, noise_power=dbm_to_watts(-30.0), p_b=dbm_to_watts(10.0))
+
+    def test_noise_on_against_nested_reference(self):
+        want_u, want_d = nested_success_probabilities(self.NOISY, include_noise=True)
+        got_u = ul_success_probability(self.NOISY, include_noise=True).value
+        got_d = dl_success_probability(self.NOISY, include_noise=True).value
+        assert got_u == pytest.approx(want_u, rel=1e-7, abs=0.0)
+        assert got_d == pytest.approx(want_d, rel=1e-7, abs=0.0)
+        # the configuration is one where noise matters
+        assert got_u < 0.99 * ul_success_probability(self.NOISY).value
+        assert got_d < 0.99 * dl_success_probability(self.NOISY).value
+
+    def test_quadrature_only_where_no_closed_form(self, monkeypatch):
+        """Noise off: UL is one quadrature over the partner distance and DL
+        none; noise on, the Gamma integral over the serving distance is a
+        quadrature too (one for DL, one per partner-distance node for UL)."""
+        calls = []
+        real = coverage.integrate_finite
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return real(f, a, b)
+
+        monkeypatch.setattr(coverage, "integrate_finite", counted)
+        ul_success_probability(TABLE)
+        assert len(calls) == 1
+        calls.clear()
+        dl_success_probability(TABLE)
+        assert calls == []
+        dl_success_probability(self.NOISY, include_noise=True)
+        assert len(calls) == 1
+        calls.clear()
+        ul_success_probability(self.NOISY, include_noise=True)
+        assert len(calls) > 1
+
+
 class TestHighPrecisionOracle:
-    """Success probabilities at small and large path-loss exponents, noise
-    off, against 30-digit mpmath values copied from the benchmark's
+    """Success probabilities at every path-loss exponent of the benchmark's
+    analytic grid, noise off, against 30-digit mpmath values copied from
     perfbench/refs.json (written by `perfbench/make_refs.py analytic`): the
     DL probability in closed form, 1/(1+K)^2 in u = pi lambda r^2; the UL
     probability as a tanh-sinh double integral over the serving and partner
@@ -296,14 +389,24 @@ class TestHighPrecisionOracle:
 
     RHO_U = {  # alpha -> {beta_u_db: rho_u}
         2.05: {-5: 0.003599945886739409, 5: 0.00038187221856424917},
+        2.2: {-5: 0.018960720098079364, 5: 0.00237080078628998},
         2.5: {-5: 0.06703219332470597, 5: 0.01112784728760678},
+        2.7: {-5: 0.10860290705484316, 5: 0.021211312798699297},
+        3.0: {-5: 0.17840971557904653, 5: 0.04308055370830324},
         3.5: {-5: 0.2967281942604785, 5: 0.09522275802901925},
+        4.0: {-5: 0.40175375970172333, 5: 0.15999534921724473},
+        5.0: {-5: 0.5575005972107241, 5: 0.29656150293270755},
         6.0: {-5: 0.6567488373565838, 5: 0.4152856158607587},
     }
     RHO_D = {  # alpha -> rho_d (independent of beta_u)
         2.05: 0.05728656026880078,
+        2.2: 0.31346343263740967,
         2.5: 0.5803921674694427,
+        2.7: 0.6668740425513441,
+        3.0: 0.7425286989955456,
         3.5: 0.8056689820226471,
+        4.0: 0.8353827392161778,
+        5.0: 0.8565765819351454,
         6.0: 0.8578060506647491,
     }
 
@@ -314,7 +417,7 @@ class TestHighPrecisionOracle:
             p = replace(TABLE, alpha=alpha, beta_u=db_to_linear(beta_u_db))
             got = ul_success_probability(p).value
             assert math.isfinite(got)
-            assert got == pytest.approx(want, rel=1e-7, abs=0.0)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
         got_d = dl_success_probability(replace(TABLE, alpha=alpha)).value
         assert math.isfinite(got_d)
-        assert got_d == pytest.approx(self.RHO_D[alpha], rel=1e-7, abs=0.0)
+        assert got_d == pytest.approx(self.RHO_D[alpha], rel=1e-10, abs=0.0)

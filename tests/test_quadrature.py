@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dudasim import quadrature
 from dudasim.quadrature import (
     IntegrationResult,
     QuadratureConvergenceError,
-    QuadratureSpec,
     integrate_finite,
     interference_tail_integral,
 )
@@ -18,18 +18,6 @@ def arctan_closed_form(kappa, beta, r, a):
     sc = math.sqrt(c)
     angle = math.pi / 2.0 if a == 0.0 else math.atan2(sc, a * a)
     return 0.5 * sc * angle
-
-
-class TestSpec:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tail_cutoff_mass=1e-3)
 
 
 class TestTailIntegral:
@@ -117,10 +105,10 @@ class TestFinite:
         val, _ = integrate_finite(lambda x: 3 * x * x, 0.0, 2.0)
         assert val == pytest.approx(8.0, rel=1e-12)
 
-    def test_non_convergence_reports_estimate(self):
-        spec = QuadratureSpec(max_subdivisions=1)
+    def test_non_convergence_reports_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureConvergenceError) as exc_info:
-            integrate_finite(lambda x: math.sin(50 * x) * math.exp(-0.01 * x), 0.0, 100.0, spec)
+            integrate_finite(lambda x: math.sin(50 * x) * math.exp(-0.01 * x), 0.0, 100.0)
         assert math.isfinite(exc_info.value.value)
         assert exc_info.value.error > 0.0
 

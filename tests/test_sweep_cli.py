@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dudasim.cli import main
 from dudasim.config import parse_config
 from dudasim.sweep import rows_to_csv, run_sweep
 from dudasim.validation import check_gap_identity, check_quadrature_closed_form, run_validation
@@ -193,8 +194,8 @@ class TestValidationModule:
 
 class TestGeneralPathLossExponent:
     def test_alpha_3_5_end_to_end(self):
-        # no closed form exists here; the generic quadrature and the
-        # simulator must still work together
+        # away from alpha = 4 (the arctan form of the tail), the analytic
+        # layer and the simulator must still work together
         from dudasim.coverage import ul_success_probability
         from dudasim.montecarlo import run_campaign
 
@@ -226,6 +227,20 @@ class TestCli:
         out2 = self.run_cli("sweep", "--sweep", "s_u:0.1:2.0:5")
         assert out2.returncode == 2
         assert "configuration error" in out2.stderr
+
+    @pytest.mark.parametrize("flags, setting", [
+        (("--iterations", "0"), ""),
+        ((), "max_attempts = 0"),
+        ((), "window_side = -10"),
+    ])
+    def test_nonpositive_trial_settings_exit_2(self, tmp_path: Path, capsys, flags, setting):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"iterations = 20\n{setting}\n")
+        assert main(["simulate", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        key = setting.split(" = ")[0] if setting else "iterations"
+        line = "line 2: " if setting else ""  # a flag has no line
+        assert err.startswith(f"configuration error: {line}{key} must be ")
 
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
