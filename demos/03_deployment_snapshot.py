@@ -8,12 +8,12 @@ plottable CSV snapshot (x, y, role, pair_id).
 
 import numpy as np
 
-from dudasim import RngStream, generate_deployment, snapshot_csv
+from dudasim import RngStream, delaunay_adjacency, generate_deployment, snapshot_csv
 
 stream = RngStream(seed=2024, stream_id=0)
 dep, resamples = generate_deployment(
     lambda_b=0.005, delta=0.5, window_half_width=75.0, stream=stream,
-    scheme="duda", typical_mode="dl", keep_adjacency=True,
+    scheme="duda", typical_mode="dl",
 )
 
 n = dep.n_bs
@@ -23,7 +23,8 @@ print(f"unmatched:         {len(dep.unpaired)}")
 print(f"matched fraction:  {dep.matched_fraction:.3f}")
 print(f"resamples needed:  {resamples}")
 
-degrees = [len(nb) for nb in dep.adjacency]
+indptr, _, _ = delaunay_adjacency(dep.bs_positions)
+degrees = np.diff(indptr)
 print(f"mean Delaunay degree: {np.mean(degrees):.2f}")
 
 dl_active = int(dep.pair_active_dl.sum()) + int(dep.unpaired_active_dl.sum())

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class Deployment:
 
     window_half_width: float
     bs_positions: np.ndarray              # (N, 2)
-    adjacency: List[np.ndarray]           # Delaunay neighbour lists
     pairs: np.ndarray                     # (P, 2) int, (ul_member, dl_member)
     unpaired: np.ndarray                  # (U,) int
     pair_active_dl: np.ndarray            # (P,) bool
@@ -84,142 +82,71 @@ class Deployment:
         return 1.0 - len(self.unpaired) / max(self.n_bs, 1)
 
 
-def sample_ppp(lam: float, window_half_width: float, rng) -> np.ndarray:
+def sample_ppp(lam: float, window_half_width: float, gen: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous PPP of intensity lam on the centred square of
     half-width window_half_width; returns an (N, 2) position array."""
     if lam <= 0 or window_half_width <= 0:
         raise ValueError("lam and window_half_width must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     side = 2.0 * window_half_width
     n = gen.poisson(lam * side * side)
     return gen.uniform(-window_half_width, window_half_width, size=(n, 2))
 
 
-def delaunay_adjacency(points: np.ndarray) -> Tuple[List[np.ndarray], bool]:
-    """Neighbour lists of the Delaunay triangulation (equivalently, pairs of
-    Voronoi cells sharing an edge).
+def delaunay_adjacency(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Neighbours in the Delaunay triangulation (equivalently, pairs of
+    Voronoi cells sharing an edge) as CSR arrays: station i's neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``.  Returns (indptr, indices,
+    degenerate).
 
     Fewer than 3 points, or a fully degenerate (collinear) configuration,
-    falls back to complete adjacency with the degenerate flag set.
+    falls back to the complete graph with the degenerate flag set.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     n = len(points)
-    if n < 3:
-        return [np.array([j for j in range(n) if j != i]) for i in range(n)], True
-    try:
-        tri = Delaunay(points)
-    except QhullError:
-        return [np.array([j for j in range(n) if j != i]) for i in range(n)], True
-    indptr, indices = tri.vertex_neighbor_vertices
-    return [indices[indptr[i]:indptr[i + 1]] for i in range(n)], False
+    if n >= 3:
+        try:
+            indptr, indices = Delaunay(points).vertex_neighbor_vertices
+            return indptr, indices, False
+        except QhullError:
+            pass
+    indptr = np.arange(n + 1) * max(n - 1, 0)
+    indices = np.flatnonzero(~np.eye(n, dtype=bool)) % max(n, 1)
+    return indptr, indices, True
 
 
 def pair_bs(
-    points: np.ndarray, adjacency: Sequence[np.ndarray], rng
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Greedy randomized matching on the adjacency graph.
+    points: np.ndarray, indptr: np.ndarray, indices: np.ndarray, gen: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy randomized matching on the CSR adjacency graph.
 
     Stations are visited in a uniformly random order; an unmatched station
     pairs with its nearest unmatched neighbour (Euclidean ties broken by
     the lower index).  Stations left without an unmatched neighbour stay
-    single.  The output partitions all indices.
+    single.  Returns ``pairs`` as a (P, 2) array with i < j in each row, in
+    increasing order of i, and the unmatched stations in increasing order;
+    together they partition all indices.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = len(points)
-    px = [float(p[0]) for p in points]
-    py = [float(p[1]) for p in points]
-    adj = [[int(j) for j in nb] for nb in adjacency]
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    d = points[indices] - points[row]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    # rows stay contiguous, each sorted by (squared distance, index)
+    nbrs = indices[np.lexsort((indices, d2, row))].tolist()
+    ptr = indptr.tolist()
     partner = [-1] * n
     for i in gen.permutation(n).tolist():
         if partner[i] >= 0:
             continue
-        xi, yi = px[i], py[i]
-        best_d = math.inf
-        best_j = -1
-        for j in adj[i]:
-            if partner[j] >= 0:
-                continue
-            dx = px[j] - xi
-            dy = py[j] - yi
-            d = dx * dx + dy * dy
-            if d < best_d or (d == best_d and j < best_j):
-                best_d = d
-                best_j = j
-        if best_j >= 0:
-            partner[i] = best_j
-            partner[best_j] = i
-    pairs: List[Tuple[int, int]] = []
-    seen = [False] * n
-    for i in range(n):
-        j = partner[i]
-        if j >= 0 and not seen[i]:
-            seen[i] = seen[j] = True
-            pairs.append((i, j))
-    unpaired = [i for i in range(n) if partner[i] < 0]
-    return pairs, unpaired
-
-
-def _clip_convex(vertices: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Clip a convex polygon to the half-plane normal . x <= offset
-    (Sutherland-Hodgman, one edge)."""
-    if len(vertices) == 0:
-        return vertices
-    inside = vertices @ normal <= offset
-    out = []
-    n = len(vertices)
-    for k in range(n):
-        a, b = vertices[k], vertices[(k + 1) % n]
-        ia, ib = inside[k], inside[(k + 1) % n]
-        if ia:
-            out.append(a)
-        if ia != ib:
-            da = normal @ a - offset
-            db = normal @ b - offset
-            t = da / (da - db)
-            out.append(a + t * (b - a))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def _voronoi_cell_polygon(points: np.ndarray, i: int, half_width: float) -> np.ndarray:
-    """Vertices of Voronoi cell i clipped to the window (convex)."""
-    poly = np.array([
-        [-half_width, -half_width], [half_width, -half_width],
-        [half_width, half_width], [-half_width, half_width],
-    ])
-    pi = points[i]
-    for j in range(len(points)):
-        if j == i:
-            continue
-        normal = points[j] - pi
-        offset = (points[j] @ points[j] - pi @ pi) / 2.0
-        poly = _clip_convex(poly, normal, offset)
-        if len(poly) == 0:
-            break
-    return poly
-
-
-def _uniform_in_cells(
-    points: np.ndarray, members: Sequence[int], half_width: float, gen: np.random.Generator
-) -> np.ndarray:
-    """Exact uniform point in the union of the members' Voronoi cells via
-    polygon triangulation (slow path for cells too small to hit by global
-    rejection)."""
-    tris = []
-    areas = []
-    for i in members:
-        poly = _voronoi_cell_polygon(points, i, half_width)
-        for k in range(1, len(poly) - 1):
-            a, b, c = poly[0], poly[k], poly[k + 1]
-            area = 0.5 * abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
-            tris.append((a, b, c))
-            areas.append(area)
-    total = float(np.sum(areas))
-    if total <= 0.0 or not tris:
-        return np.array(points[members[0]], dtype=float, copy=True)
-    k = int(gen.choice(len(tris), p=np.asarray(areas) / total))
-    a, b, c = tris[k]
-    u, v = gen.uniform(size=2)
-    su = math.sqrt(u)
-    return (1 - su) * a + su * (1 - v) * b + su * v * c
+        for k in range(ptr[i], ptr[i + 1]):
+            j = nbrs[k]
+            if partner[j] < 0:
+                partner[i] = j
+                partner[j] = i
+                break
+    partner = np.array(partner, dtype=int)
+    first = np.flatnonzero(partner > np.arange(n))
+    return np.column_stack((first, partner[first])), np.flatnonzero(partner < 0)
 
 
 def _uniform_in_groups(
@@ -232,37 +159,33 @@ def _uniform_in_groups(
     """One uniform point per group, where group g's region is the union of
     the Voronoi cells of the stations with group_of_bs == g (clipped to the
     window).  Rejection-samples batches of window-uniform candidates and
-    keeps each group's first hit; groups whose region is too small to hit
-    fall back to exact polygon sampling."""
+    keeps each group's first hit until every group has one.  Every station
+    lies in the window and the stations are distinct, so every region has
+    positive area and the loop ends with probability 1."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
-    out = np.full((n_groups, 2), np.nan)
-    missing = n_groups
+    out = np.empty((n_groups, 2))
+    missing = np.ones(n_groups, dtype=bool)
     batch = max(512, 10 * len(points))
-    for _ in range(12):
-        if missing == 0:
-            break
+    while missing.any():
         cand = gen.uniform(-window_half_width, window_half_width, size=(batch, 2))
         # one thread: a batch of 10 candidates per station is too small to repay
         # starting worker threads
         _, owner = tree.query(cand, workers=1)
-        gids = group_of_bs[owner]
-        uniq, first = np.unique(gids, return_index=True)
-        fill = np.isnan(out[uniq, 0])
+        uniq, first = np.unique(group_of_bs[owner], return_index=True)
+        fill = missing[uniq]
         out[uniq[fill]] = cand[first[fill]]
-        missing = int(np.isnan(out[:, 0]).sum())
-    if missing:
-        for g in np.flatnonzero(np.isnan(out[:, 0])):
-            members = np.flatnonzero(group_of_bs == g)
-            out[g] = _uniform_in_cells(points, members, window_half_width, gen)
+        missing[uniq] = False
     return out
 
 
 def assign_directions_and_ues(
-    pairs: Sequence[Tuple[int, int]],
-    unpaired: Sequence[int],
+    pairs: np.ndarray,
+    unpaired: np.ndarray,
     points: np.ndarray,
     delta: float,
-    rng,
+    gen: np.random.Generator,
     typical_mode: str = "dl",
     *,
     window_half_width: float,
@@ -272,6 +195,8 @@ def assign_directions_and_ues(
 ) -> Deployment:
     """Draw link directions and terminal positions, and anchor the probe.
 
+    ``pairs`` (a (P, 2) int array) and ``unpaired`` (an int array) must
+    partition the stations, which must be distinct points inside the window.
     Raises TypicalUnpairedError when the probe's serving BS is unmatched in
     a decoupled-scheme realization (callers resample).  ``lambda_b`` is only
     needed in "ul" typical mode, where the probe terminal's distance is
@@ -283,82 +208,70 @@ def assign_directions_and_ues(
         raise ValueError("typical_mode must be 'ul' or 'dl'")
     if scheme not in ("duda", "duca"):
         raise ValueError("scheme must be 'duda' or 'duca'")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    points = np.asarray(points, dtype=float)
     n = len(points)
     if n == 0:
         raise ValueError("realization contains no base stations")
+    if scheme == "duca" and len(pairs):
+        raise ValueError("coupled-baseline deployments carry no pairs")
+    # otherwise some terminal region has no area and placement never ends
+    xy = points[np.lexsort(points.T)]
+    if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
+        raise ValueError("stations must be distinct points inside the window")
 
-    pair_arr = np.array([list(p) for p in pairs], dtype=int).reshape(len(pairs), 2)
-    unpaired_arr = np.asarray(list(unpaired), dtype=int)
+    # Terminal groups: one per pair, then one per unmatched station.
+    n_pairs = len(pairs)
+    group_of_bs = np.full(n, -1)
+    group_of_bs[pairs[:, 0]] = group_of_bs[pairs[:, 1]] = np.arange(n_pairs)
+    group_of_bs[unpaired] = np.arange(n_pairs, n_pairs + len(unpaired))
+    if (group_of_bs < 0).any():
+        raise ValueError("pairs and unpaired must cover every station")
 
     # Typical serving geometry.
+    ul_bs = int(np.argmin(np.linalg.norm(points, axis=1)))
     if typical_mode == "dl":
         typical_ue = np.zeros(2)
-        d0 = np.linalg.norm(points, axis=1)
-        ul_bs = int(np.argmin(d0))
     else:
         if lambda_b is None:
             raise ValueError("lambda_b is required in 'ul' typical mode")
-        ul_bs = int(np.argmin(np.linalg.norm(points, axis=1)))
         r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
         theta = gen.uniform(0.0, 2.0 * math.pi)
         typical_ue = points[ul_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
 
-    typical_pair_index = -1
+    probe_group = int(group_of_bs[ul_bs])
+    dl_bs = ul_bs
     if scheme == "duda":
-        rows = np.flatnonzero((pair_arr == ul_bs).any(axis=1))
-        if len(rows) == 0:
+        if probe_group >= n_pairs:
             raise TypicalUnpairedError(f"typical BS {ul_bs} is unmatched")
-        typical_pair_index = int(rows[0])
-        a, b = pair_arr[typical_pair_index]
+        a, b = pairs[probe_group]
         dl_bs = int(b if a == ul_bs else a)
-    else:
-        dl_bs = ul_bs
-        if len(pair_arr):
-            raise ValueError("coupled-baseline deployments carry no pairs")
 
     # Directions.
-    pair_active_dl = gen.uniform(size=len(pair_arr)) < delta
-    unpaired_active_dl = gen.uniform(size=len(unpaired_arr)) < delta
+    pair_active_dl = gen.uniform(size=n_pairs) < delta
+    unpaired_active_dl = gen.uniform(size=len(unpaired)) < delta
 
     # Terminals: one per pair (uniform in the union of the two cells), one
     # per unmatched station (uniform in its own cell).
-    group_of_bs = np.full(n, -1, dtype=int)
-    for g, (i, j) in enumerate(pair_arr):
-        group_of_bs[i] = g
-        group_of_bs[j] = g
-    for k, i in enumerate(unpaired_arr):
-        group_of_bs[i] = len(pair_arr) + k
-    n_groups = len(pair_arr) + len(unpaired_arr)
-    active_ues = _uniform_in_groups(points, group_of_bs, n_groups, window_half_width, gen)
+    active_ues = _uniform_in_groups(points, group_of_bs, n_pairs + len(unpaired),
+                                    window_half_width, gen)
 
     # Orient each pair: the member nearer its terminal receives UL.
-    oriented = pair_arr.copy()
-    if len(pair_arr):
-        ues = active_ues[: len(pair_arr)]
-        d_first = np.sum((points[pair_arr[:, 0]] - ues) ** 2, axis=1)
-        d_second = np.sum((points[pair_arr[:, 1]] - ues) ** 2, axis=1)
-        flip = d_second < d_first
-        oriented[flip] = oriented[flip][:, ::-1]
+    ues = active_ues[:n_pairs]
+    d_first = np.sum((points[pairs[:, 0]] - ues) ** 2, axis=1)
+    d_second = np.sum((points[pairs[:, 1]] - ues) ** 2, axis=1)
+    oriented = np.where((d_second < d_first)[:, None], pairs[:, ::-1], pairs)
 
-    # The probe overrides its own cell: its pair is role-fixed by the
-    # serving geometry and hosts the probe terminal.
-    if typical_pair_index >= 0:
-        oriented[typical_pair_index] = (ul_bs, dl_bs)
-        active_ues[typical_pair_index] = typical_ue
-        pair_active_dl[typical_pair_index] = False
-    elif scheme == "duca":
-        k = np.flatnonzero(unpaired_arr == ul_bs)
-        if len(k):
-            active_ues[len(pair_arr) + k[0]] = typical_ue
+    # The probe overrides its own cell, which hosts the probe terminal; in
+    # the decoupled scheme its pair is role-fixed by the serving geometry.
+    active_ues[probe_group] = typical_ue
+    if scheme == "duda":
+        oriented[probe_group] = (ul_bs, dl_bs)
+        pair_active_dl[probe_group] = False
 
     return Deployment(
         window_half_width=window_half_width,
         bs_positions=points,
-        adjacency=[],
         pairs=oriented,
-        unpaired=unpaired_arr,
+        unpaired=unpaired,
         pair_active_dl=pair_active_dl,
         unpaired_active_dl=unpaired_active_dl,
         active_ues=active_ues,
@@ -367,7 +280,7 @@ def assign_directions_and_ues(
         typical_ue=typical_ue,
         typical_ul_bs=ul_bs,
         typical_dl_bs=dl_bs,
-        typical_pair_index=typical_pair_index,
+        typical_pair_index=probe_group if scheme == "duda" else -1,
         degenerate=degenerate,
     )
 
@@ -380,7 +293,6 @@ def generate_deployment(
     scheme: str = "duda",
     typical_mode: str = "dl",
     max_resamples: int = 64,
-    keep_adjacency: bool = False,
 ) -> Tuple[Deployment, int]:
     """Produce one usable realization, resampling when the probe's serving
     BS ends up unmatched (decoupled scheme); returns (deployment, resamples).
@@ -395,11 +307,11 @@ def generate_deployment(
             resamples += 1
             continue
         if scheme == "duda":
-            adjacency, degen = delaunay_adjacency(pts)
-            pairs, unpaired = pair_bs(pts, adjacency, gen)
+            indptr, indices, degen = delaunay_adjacency(pts)
+            pairs, unpaired = pair_bs(pts, indptr, indices, gen)
         else:
-            adjacency, degen = [], False
-            pairs, unpaired = [], list(range(len(pts)))
+            degen = False
+            pairs, unpaired = np.empty((0, 2), dtype=int), np.arange(len(pts))
         try:
             dep = assign_directions_and_ues(
                 pairs,
@@ -416,8 +328,6 @@ def generate_deployment(
         except TypicalUnpairedError:
             resamples += 1
             continue
-        if keep_adjacency:
-            dep.adjacency = list(adjacency)
         return dep, resamples
     raise RuntimeError(
         f"typical BS unmatched in {max_resamples} consecutive realizations"

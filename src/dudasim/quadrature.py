@@ -16,7 +16,6 @@ import math
 import warnings
 from typing import Callable, NamedTuple
 
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hyp2f1
 
 REL_TOL = 1e-8
@@ -42,6 +41,9 @@ class QuadratureConvergenceError(RuntimeError):
 def integrate_finite(f: Callable[[float], float], a: float, b: float) -> IntegrationResult:
     """Adaptive integral of f over [a, b] with its error estimate; raises
     QuadratureConvergenceError if MAX_SUBDIVISIONS is exhausted first."""
+    # imported here: most entry points never integrate, and the import is slow
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         out = quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,

@@ -98,3 +98,36 @@ def _circumcircle(a, b, c):
     uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
     centre = np.array([ux, uy])
     return centre, float(np.linalg.norm(centre - a))
+
+
+def reference_pair_bs(points: np.ndarray, adjacency, gen: np.random.Generator):
+    """The list-based greedy matching that predates the CSR version, kept
+    as its reference: visit stations in ``gen.permutation`` order and scan
+    each adjacency list for the nearest unmatched neighbour (ties to the
+    lower index).  Returns (pairs as (i, j) tuples with i < j, unpaired)."""
+    n = len(points)
+    px = [float(p[0]) for p in points]
+    py = [float(p[1]) for p in points]
+    adj = [[int(j) for j in nb] for nb in adjacency]
+    partner = [-1] * n
+    for i in gen.permutation(n).tolist():
+        if partner[i] >= 0:
+            continue
+        xi, yi = px[i], py[i]
+        best_d = math.inf
+        best_j = -1
+        for j in adj[i]:
+            if partner[j] >= 0:
+                continue
+            dx = px[j] - xi
+            dy = py[j] - yi
+            d = dx * dx + dy * dy
+            if d < best_d or (d == best_d and j < best_j):
+                best_d = d
+                best_j = j
+        if best_j >= 0:
+            partner[i] = best_j
+            partner[best_j] = i
+    pairs = [(i, j) for i, j in enumerate(partner) if i < j]
+    unpaired = [i for i in range(n) if partner[i] < 0]
+    return pairs, unpaired

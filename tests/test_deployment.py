@@ -13,20 +13,34 @@ from dudasim.deployment import (
     pair_bs,
     sample_ppp,
     snapshot_csv,
+    _uniform_in_groups,
 )
 
-from helpers import brute_force_delaunay_edges
+from helpers import brute_force_delaunay_edges, reference_pair_bs
 
 LAMBDA = 0.005
 HALF = 75.0
 
 
-def edges_of(adjacency):
+def neighbours(indptr, indices, i):
+    return indices[indptr[i]:indptr[i + 1]]
+
+
+def edges_of(indptr, indices):
     out = set()
-    for i, nb in enumerate(adjacency):
-        for j in nb:
+    for i in range(len(indptr) - 1):
+        for j in neighbours(indptr, indices, i):
             out.add((min(i, int(j)), max(i, int(j))))
     return out
+
+
+def adjacency_lists(indptr, indices):
+    return [neighbours(indptr, indices, i) for i in range(len(indptr) - 1)]
+
+
+def csr(lists):
+    indptr = np.concatenate([[0], np.cumsum([len(nb) for nb in lists])])
+    return indptr, np.concatenate(lists).astype(int)
 
 
 class TestSamplePpp:
@@ -66,15 +80,15 @@ class TestSamplePpp:
 class TestDelaunayAdjacency:
     def test_triangle(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]])
-        adj, degenerate = delaunay_adjacency(pts)
+        indptr, indices, degenerate = delaunay_adjacency(pts)
         assert not degenerate
-        assert edges_of(adj) == {(0, 1), (0, 2), (1, 2)}
+        assert edges_of(indptr, indices) == {(0, 1), (0, 2), (1, 2)}
 
     def test_unit_square_has_one_diagonal(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        adj, degenerate = delaunay_adjacency(pts)
+        indptr, indices, degenerate = delaunay_adjacency(pts)
         assert not degenerate
-        edges = edges_of(adj)
+        edges = edges_of(indptr, indices)
         sides = {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert sides <= edges
         diagonals = edges - sides
@@ -85,18 +99,18 @@ class TestDelaunayAdjacency:
         rng = np.random.default_rng(31)
         for _ in range(25):
             pts = rng.uniform(0, 10, size=(9, 2))
-            adj, degenerate = delaunay_adjacency(pts)
+            indptr, indices, degenerate = delaunay_adjacency(pts)
             assert not degenerate
-            assert edges_of(adj) == brute_force_delaunay_edges(pts)
+            assert edges_of(indptr, indices) == brute_force_delaunay_edges(pts)
 
     def test_symmetry(self):
         pts = sample_ppp(LAMBDA, HALF, RngStream(6).generator())
-        adj, _ = delaunay_adjacency(pts)
-        edges = edges_of(adj)
-        for i, nb in enumerate(adj):
-            for j in nb:
+        indptr, indices, _ = delaunay_adjacency(pts)
+        edges = edges_of(indptr, indices)
+        for i in range(len(pts)):
+            for j in neighbours(indptr, indices, i):
                 assert (min(i, int(j)), max(i, int(j))) in edges
-                assert i in adj[int(j)]
+                assert i in neighbours(indptr, indices, int(j))
 
     def test_jittered_grid_mean_degree(self):
         # interior vertices of a planar triangulation average ~6 neighbours
@@ -104,37 +118,38 @@ class TestDelaunayAdjacency:
         g = np.arange(20, dtype=float)
         xx, yy = np.meshgrid(g, g)
         pts = np.column_stack([xx.ravel(), yy.ravel()]) + rng.uniform(-0.3, 0.3, (400, 2))
-        adj, _ = delaunay_adjacency(pts)
+        indptr, _, _ = delaunay_adjacency(pts)
         interior = [
             i for i, p in enumerate(pts) if 3 < p[0] < 16 and 3 < p[1] < 16
         ]
-        mean_degree = np.mean([len(adj[i]) for i in interior])
+        mean_degree = np.mean(np.diff(indptr)[interior])
         assert 5.6 < mean_degree < 6.4
 
     def test_degenerate_two_points(self):
-        adj, degenerate = delaunay_adjacency(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        indptr, indices, degenerate = delaunay_adjacency(np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert degenerate
-        assert edges_of(adj) == {(0, 1)}
+        assert edges_of(indptr, indices) == {(0, 1)}
 
     def test_degenerate_collinear(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        adj, degenerate = delaunay_adjacency(pts)
+        indptr, indices, degenerate = delaunay_adjacency(pts)
         assert degenerate
-        assert len(edges_of(adj)) == 6  # complete graph on 4 vertices
+        assert len(edges_of(indptr, indices)) == 6  # complete graph on 4 vertices
+        assert list(np.diff(indptr)) == [3, 3, 3, 3]
 
 
 class TestPairing:
     def test_two_points_pair_up(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        adj, _ = delaunay_adjacency(pts)
-        pairs, unpaired = pair_bs(pts, adj, RngStream(7).generator())
-        assert len(pairs) == 1 and unpaired == []
+        indptr, indices, _ = delaunay_adjacency(pts)
+        pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(7).generator())
+        assert len(pairs) == 1 and len(unpaired) == 0
 
     def test_three_mutual_neighbours_any_order(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
-        adj, _ = delaunay_adjacency(pts)
+        indptr, indices, _ = delaunay_adjacency(pts)
         for seed in range(24):
-            pairs, unpaired = pair_bs(pts, adj, RngStream(seed).generator())
+            pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(seed).generator())
             assert len(pairs) == 1
             assert len(unpaired) == 1
 
@@ -142,11 +157,11 @@ class TestPairing:
     def test_partition_and_edge_membership(self):
         for seed in range(1000):
             pts = sample_ppp(LAMBDA, HALF, RngStream(40, seed).generator())
-            adj, _ = delaunay_adjacency(pts)
-            pairs, unpaired = pair_bs(pts, adj, RngStream(41, seed).generator())
-            edge_set = edges_of(adj)
-            touched = set(unpaired)
-            for i, j in pairs:
+            indptr, indices, _ = delaunay_adjacency(pts)
+            pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(41, seed).generator())
+            edge_set = edges_of(indptr, indices)
+            touched = set(unpaired.tolist())
+            for i, j in pairs.tolist():
                 assert (min(i, j), max(i, j)) in edge_set
                 assert i not in touched and j not in touched
                 touched.update((i, j))
@@ -157,22 +172,54 @@ class TestPairing:
         fracs = []
         for seed in range(1000):
             pts = sample_ppp(LAMBDA, HALF, RngStream(42, seed).generator())
-            adj, _ = delaunay_adjacency(pts)
-            pairs, unpaired = pair_bs(pts, adj, RngStream(43, seed).generator())
+            indptr, indices, _ = delaunay_adjacency(pts)
+            pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(43, seed).generator())
             fracs.append(2 * len(pairs) / len(pts))
         assert all(0.6 < f <= 1.0 for f in fracs)
 
     def test_tie_break_prefers_lower_index(self):
         # visited station 0 sees stations 1 and 2 at exactly equal distance
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
-        adj = [np.array([1, 2, 3]), np.array([0]), np.array([0]), np.array([0])]
+        indptr, indices = csr([np.array([1, 2, 3]), np.array([0]), np.array([0]), np.array([0])])
         for seed in range(16):
             gen = RngStream(seed).generator()
             first = gen.permutation(4)[0]
             if first != 0:
                 continue
-            pairs, _ = pair_bs(pts, adj, RngStream(seed).generator())
-            assert (0, 1) in [(min(i, j), max(i, j)) for i, j in pairs]
+            pairs, _ = pair_bs(pts, indptr, indices, RngStream(seed).generator())
+            assert (0, 1) in [(min(i, j), max(i, j)) for i, j in pairs.tolist()]
+
+    @staticmethod
+    def _assert_matches_reference(pts, indptr, indices, seed):
+        pairs, unpaired = pair_bs(pts, indptr, indices, np.random.default_rng(seed))
+        ref_pairs, ref_unpaired = reference_pair_bs(
+            pts, adjacency_lists(indptr, indices), np.random.default_rng(seed)
+        )
+        assert pairs.shape == (len(ref_pairs), 2)
+        assert [tuple(p) for p in pairs.tolist()] == ref_pairs
+        assert unpaired.tolist() == ref_unpaired
+
+    def test_matches_list_reference_on_ppp(self):
+        for seed in range(250):
+            gen = RngStream(44, seed).generator()
+            pts = sample_ppp(LAMBDA, HALF, gen)
+            indptr, indices, _ = delaunay_adjacency(pts)
+            self._assert_matches_reference(pts, indptr, indices, seed)
+
+    def test_matches_list_reference_on_ties(self):
+        # a square lattice: every station sees its axis neighbours at equal
+        # distance, so the tie rule decides most matches
+        g = np.arange(6, dtype=float)
+        xx, yy = np.meshgrid(g, g)
+        lattice = np.column_stack([xx.ravel(), yy.ravel()])
+        star = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
+        star_csr = csr([np.array([1, 2, 3]), np.array([0]), np.array([0]), np.array([0])])
+        for seed in range(40):
+            self._assert_matches_reference(lattice, *delaunay_adjacency(lattice)[:2], seed)
+            self._assert_matches_reference(star, *star_csr, seed)
+        collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        for seed in range(16):
+            self._assert_matches_reference(collinear, *delaunay_adjacency(collinear)[:2], seed)
 
 
 class TestAssignDirections:
@@ -195,8 +242,8 @@ class TestAssignDirections:
 
     def test_delta_near_one_all_downlink(self):
         pts = sample_ppp(LAMBDA, HALF, RngStream(50).generator())
-        adj, _ = delaunay_adjacency(pts)
-        pairs, unpaired = pair_bs(pts, adj, RngStream(51).generator())
+        indptr, indices, _ = delaunay_adjacency(pts)
+        pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(51).generator())
         dep = assign_directions_and_ues(
             pairs, unpaired, pts, 1.0 - 1e-12, RngStream(52).generator(),
             "dl", window_half_width=HALF, lambda_b=LAMBDA,
@@ -208,14 +255,31 @@ class TestAssignDirections:
 
     def test_rejects_bad_delta(self):
         pts = sample_ppp(LAMBDA, HALF, RngStream(53).generator())
-        adj, _ = delaunay_adjacency(pts)
-        pairs, unpaired = pair_bs(pts, adj, RngStream(54).generator())
+        indptr, indices, _ = delaunay_adjacency(pts)
+        pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(54).generator())
         for delta in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 assign_directions_and_ues(
                     pairs, unpaired, pts, delta, RngStream(55).generator(),
                     "dl", window_half_width=HALF, lambda_b=LAMBDA,
                 )
+
+    def test_rejects_stations_without_a_cell_or_group(self):
+        # a duplicated station, or one outside the window, leaves a terminal
+        # region of zero area that rejection sampling would never hit
+        pts = np.array([[0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
+        outside = np.array([[0.0, 0.0], [5.0, 5.0], [20.0, 0.0]])
+        for points in (pts, outside):
+            with pytest.raises(ValueError, match="distinct points inside the window"):
+                assign_directions_and_ues(
+                    np.empty((0, 2), dtype=int), np.arange(3), points, 0.5,
+                    RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
+                )
+        with pytest.raises(ValueError, match="cover every station"):
+            assign_directions_and_ues(
+                np.empty((0, 2), dtype=int), np.arange(2), outside * 0.5, 0.5,
+                RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
+            )
 
     def test_pair_orientation_follows_terminal(self):
         for seed in range(40):
@@ -283,6 +347,76 @@ class TestAssignDirections:
         assert p > 0.01
 
 
+class CountingGenerator:
+    """Forwards ``uniform`` to a Generator and counts the calls."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.uniform(*args, **kwargs)
+
+
+def chi_square_uniform(u, corner, side, k):
+    """Chi-square statistic and degrees of freedom of points u against the
+    uniform law on the square of the given lower-left corner and side, cut
+    into k x k equal sub-squares; every point must lie in the square."""
+    assert np.all((u >= corner) & (u <= corner + side))
+    idx = np.minimum(((u - corner) / side * k).astype(int), k - 1)
+    counts = np.bincount(idx[:, 0] * k + idx[:, 1], minlength=k * k)
+    expected = len(u) / (k * k)
+    return float(np.sum((counts - expected) ** 2) / expected), k * k - 1
+
+
+class TestTerminalPlacement:
+    # 3 x 3 stations at spacing 10 in the window [-15, 15]^2: every Voronoi
+    # cell is an exact 10 x 10 square
+    GRID = np.array([[x, y] for x in (-10.0, 0.0, 10.0) for y in (-10.0, 0.0, 10.0)])
+
+    def test_terminals_uniform_in_square_cells(self):
+        # stations 0 and 1 share an edge and form a pair (a 10 x 20 region);
+        # the other seven are singles
+        group_of_bs = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7])
+        gen = np.random.default_rng(2024)
+        ues = np.array([
+            _uniform_in_groups(self.GRID, group_of_bs, 8, 15.0, gen) for _ in range(4000)
+        ])
+        stat, dof = 0.0, 0
+        for g in range(8):
+            members = np.flatnonzero(group_of_bs == g)
+            u = ues[:, g]
+            if len(members) == 1:
+                s, d = chi_square_uniform(u, self.GRID[members[0]] - 5.0, 10.0, 5)
+            else:  # the pair's two squares, each hit with probability 1/2
+                lower = u[:, 1] < self.GRID[members, 1].mean()
+                s1, d1 = chi_square_uniform(u[lower], self.GRID[members[0]] - 5.0, 10.0, 5)
+                s2, d2 = chi_square_uniform(u[~lower], self.GRID[members[1]] - 5.0, 10.0, 5)
+                n = len(u)
+                s, d = s1 + s2 + (2.0 * lower.sum() - n) ** 2 / n, d1 + d2 + 1
+            stat, dof = stat + s, dof + d
+        assert sps.chi2.sf(stat, dof) > 1e-3
+
+    def test_tiny_cell_needs_many_batches_and_stays_uniform(self):
+        # four stations at 0.3 m around the origin cut its cell down to the
+        # square [-0.15, 0.15]^2 (0.09 m^2): a 512-candidate batch on the
+        # 900 m^2 window hits it with probability 1 - exp(-0.0512) ~ 0.05
+        cluster = np.array([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]])
+        ring = self.GRID[np.any(self.GRID != 0.0, axis=1)]
+        points = np.vstack([cluster, ring])
+        group_of_bs = np.arange(len(points))
+        gen = CountingGenerator(np.random.default_rng(7))
+        n = 800
+        ues = np.array([
+            _uniform_in_groups(points, group_of_bs, len(points), 15.0, gen)[0] for _ in range(n)
+        ])
+        # the loop must outlast a 12-batch cap for most of these placements
+        assert gen.calls / n > 12
+        stat, dof = chi_square_uniform(ues, np.array([-0.15, -0.15]), 0.3, 3)
+        assert sps.chi2.sf(stat, dof) > 1e-3
+
+
 class TestSpatialStatistics:
     @pytest.mark.slow
     def test_nearest_and_second_nearest_laws(self):
@@ -338,10 +472,3 @@ class TestReproducibilityAndExport:
             cells = line.split(",")
             assert len(cells) == 4
             float(cells[0]), float(cells[1]), int(cells[3])
-
-    def test_adjacency_kept_on_request(self):
-        dep, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(93), keep_adjacency=True)
-        assert len(dep.adjacency) == dep.n_bs
-        edge_set = edges_of(dep.adjacency)
-        for i, j in dep.pairs:
-            assert (min(i, j), max(i, j)) in edge_set

@@ -34,7 +34,6 @@ def isolated_pair_deployment(scheme="duda"):
         return Deployment(
             window_half_width=75.0,
             bs_positions=np.array([[5.0, 0.0], [12.0, 0.0]]),
-            adjacency=[],
             pairs=np.array([[0, 1]]),
             unpaired=np.array([], dtype=int),
             pair_active_dl=np.array([False]),
@@ -50,7 +49,6 @@ def isolated_pair_deployment(scheme="duda"):
     return Deployment(
         window_half_width=75.0,
         bs_positions=np.array([[5.0, 0.0]]),
-        adjacency=[],
         pairs=np.empty((0, 2), dtype=int),
         unpaired=np.array([0]),
         pair_active_dl=np.array([], dtype=bool),
