@@ -10,6 +10,7 @@ defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -107,9 +108,12 @@ def parse_kv(text: str) -> Dict[str, Tuple[str, int]]:
 def _typed(key: str, raw: str, line: int):
     if key in _FLOAT_KEYS:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"malformed value for {key!r}: {raw!r}", line) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}", line)
+        return value
     if key in _INT_KEYS:
         try:
             return int(raw)
@@ -160,11 +164,12 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         raise ConfigError("; ".join(violations), lines.get(key, 0))
 
     iterations, max_attempts = get("iterations", 10000), get("max_attempts", 1000)
-    window_side = get("window_side", 150.0)
+    window_side, seed = get("window_side", 150.0), get("seed", 0)
     for key, bad, rule in (
         ("iterations", iterations < 1, "at least 1"),
         ("max_attempts", max_attempts < 1, "at least 1"),
         ("window_side", not window_side > 0, "positive"),
+        ("seed", seed < 0, "non-negative"),
     ):
         if bad:
             raise ConfigError(f"{key} must be {rule}", lines.get(key, 0))
@@ -176,7 +181,7 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         iterations=iterations,
         max_attempts=max_attempts,
         scheme="duda" if scheme_choice == "both" else scheme_choice,
-        seed=get("seed", 0),
+        seed=seed,
         direction_redraw=get("direction_redraw", "off") == "on",
         attempt_model=get("attempt_model", "independent"),
         typical_mode=get("typical_mode", "dl"),

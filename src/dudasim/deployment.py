@@ -297,7 +297,7 @@ def generate_deployment(
     """Produce one usable realization, resampling when the probe's serving
     BS ends up unmatched (decoupled scheme); returns (deployment, resamples).
     """
-    resamples = 0
+    resamples = sparse = 0
     for attempt in range(max_resamples + 1):
         gen = stream.generator(attempt)
         pts = sample_ppp(lambda_b, window_half_width, gen)
@@ -305,6 +305,7 @@ def generate_deployment(
             pts = np.vstack([np.zeros((1, 2)), pts])
         if len(pts) < 2:
             resamples += 1
+            sparse += 1
             continue
         if scheme == "duda":
             indptr, indices, degen = delaunay_adjacency(pts)
@@ -329,8 +330,11 @@ def generate_deployment(
             resamples += 1
             continue
         return dep, resamples
+    expected = lambda_b * (2.0 * window_half_width) ** 2
     raise RuntimeError(
-        f"typical BS unmatched in {max_resamples} consecutive realizations"
+        f"no usable realization in {max_resamples + 1} draws: {sparse} had fewer than "
+        f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window) and "
+        f"{max_resamples + 1 - sparse} left the typical BS unmatched"
     )
 
 

@@ -16,11 +16,20 @@ import math
 import warnings
 from typing import Callable, NamedTuple
 
-from scipy.special import hyp2f1
-
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
+
+
+def _hyp2f1(a, b, c, z):
+    """scipy.special.hyp2f1, imported on the first call: importing
+    scipy.special costs most of a cold start that may never need it.  The
+    call rebinds this global to the ufunc, so later calls cost one lookup."""
+    global _hyp2f1
+    from scipy.special import hyp2f1
+
+    _hyp2f1 = hyp2f1
+    return hyp2f1(a, b, c, z)
 
 
 class IntegrationResult(NamedTuple):
@@ -76,5 +85,5 @@ def interference_tail_integral(
     if q < 1e-8:
         return IntegrationResult(scale * (math.pi / alpha) / math.sin(2.0 * math.pi / alpha), 0.0)
     b = 1.0 - 2.0 / alpha
-    f21 = hyp2f1(1.0, b, b + 1.0, -(q**-alpha))
+    f21 = _hyp2f1(1.0, b, b + 1.0, -(q**-alpha))
     return IntegrationResult(float(scale * q ** (2.0 - alpha) / (alpha - 2.0) * f21), 0.0)

@@ -460,6 +460,14 @@ class TestReproducibilityAndExport:
         # unmatched-probe rate is around 5-10%, never pathological
         assert 0 < total < 60
 
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_too_few_stations_named_as_the_cause(self, scheme):
+        # a 1 m window holds 0.005 stations on average: every draw is unusable
+        msg = (r"no usable realization in 65 draws: 65 had fewer than 2 base stations "
+               r"\(expected lambda_b\*side\^2 = 0\.005 per window\)")
+        with pytest.raises(RuntimeError, match=msg):
+            generate_deployment(LAMBDA, 0.5, 0.5, RngStream(93), scheme=scheme)
+
     def test_snapshot_schema(self):
         dep, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(92))
         text = snapshot_csv(dep)

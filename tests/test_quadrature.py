@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dudasim
 from dudasim import quadrature
 from dudasim.quadrature import (
     IntegrationResult,
@@ -111,6 +116,43 @@ class TestFinite:
             integrate_finite(lambda x: math.sin(50 * x) * math.exp(-0.01 * x), 0.0, 100.0)
         assert math.isfinite(exc_info.value.value)
         assert exc_info.value.error > 0.0
+
+
+def fresh_interpreter(code):
+    """Run code in a new interpreter that imports this checkout's dudasim."""
+    src = str(Path(dudasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestColdStart:
+    def test_import_and_parse_load_no_scipy(self):
+        # scipy.special is about 90% of a cold start that most commands never need
+        loaded = fresh_interpreter(
+            "import sys, dudasim\n"
+            "dudasim.parse_config('alpha = 3.5\\nseed = 4\\n')\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        assert loaded.split() == []
+
+    def test_first_and_second_tail_calls_agree(self):
+        # the first call imports hyp2f1 and rebinds the module global to the
+        # ufunc, so the second (and every later) call skips the import
+        out = fresh_interpreter(
+            "from dudasim import quadrature as q\n"
+            "first = q.interference_tail_integral(1, 1, 1, 4.0, 1).value\n"
+            "rebound = type(q._hyp2f1).__name__\n"
+            "second = q.interference_tail_integral(1, 1, 1, 4.0, 1).value\n"
+            "print(repr(first), repr(second), rebound)\n"
+        )
+        first, second, rebound = out.split()
+        assert float(first) == pytest.approx(math.pi / 8, rel=1e-15, abs=0.0)
+        assert float(second) == pytest.approx(math.pi / 8, rel=1e-15, abs=0.0)
+        assert rebound == "ufunc"
 
 
 def mp_tail(kappa, beta, r, alpha, a):

@@ -242,6 +242,24 @@ class TestCli:
         line = "line 2: " if setting else ""  # a flag has no line
         assert err.startswith(f"configuration error: {line}{key} must be ")
 
+    @pytest.mark.parametrize("command, flags, setting, message", [
+        ("analytic", (), "alpha = inf", "line 2: alpha must be finite"),
+        ("analytic", (), "p_b_dbm = inf", "line 2: p_b_dbm must be finite"),
+        ("analytic", (), "lambda_b = inf", "line 2: lambda_b must be finite"),
+        ("analytic", (), "window_side = inf", "line 2: window_side must be finite"),
+        ("analytic", (), "noise_dbm = nan", "line 2: noise_dbm must be finite"),
+        ("sweep", ("--sweep", "lambda_b:0.001:inf:3"), "", "sweep_stop must be finite"),
+        ("simulate", ("--seed", "-1"), "", "seed must be non-negative"),
+        ("snapshot", (), "seed = -3", "line 2: seed must be non-negative"),
+    ])
+    def test_nonfinite_values_and_negative_seed_exit_2(
+        self, tmp_path: Path, capsys, command, flags, setting, message
+    ):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"iterations = 20\n{setting}\n")
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
         assert out.returncode == 2
