@@ -7,7 +7,8 @@ deployment realization as CSV for plotting).
 
 Flags mirror configuration keys and override the --config file, which in
 turn overrides the built-in defaults.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error.
+failure, 2 configuration error (a window too small to yield a usable
+realization included).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional
 
 from .config import ConfigBundle, ConfigError, parse_config
 from .coverage import dl_success_probability, ul_success_probability
-from .deployment import RngStream, generate_deployment, snapshot_csv
+from .deployment import NoRealizationError, RngStream, generate_deployment, snapshot_csv
 from .latency import latency_duca, latency_duda
 from .montecarlo import samples_csv
 from .params import LinkSuccess
@@ -189,7 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         bundle = _load_bundle(args)
         return _COMMANDS[args.command](args, bundle)
-    except ConfigError as exc:
+    except (ConfigError, NoRealizationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

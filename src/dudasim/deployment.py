@@ -47,6 +47,11 @@ class TypicalUnpairedError(RuntimeError):
     realization must be resampled."""
 
 
+class NoRealizationError(RuntimeError):
+    """Every draw of ``generate_deployment`` was unusable: the window holds
+    too few stations at this density."""
+
+
 @dataclass
 class Deployment:
     """One spatial realization plus the probe-link anchoring.
@@ -149,34 +154,90 @@ def pair_bs(
     return np.column_stack((first, partner[first])), np.flatnonzero(partner < 0)
 
 
+# Placement screens candidates once at most this many stations of groups
+# without a terminal remain: the screen costs a few ufunc passes per member of
+# its local set and candidate, against about 0.4 us for a kd-tree lookup, so
+# it pays only while that set is small.
+_SCREEN_STATIONS = 8
+_SCREEN_NEIGHBOURS = 6
+# The screen works on blocks of at most this many (member, candidate)
+# distances, 64 KB, so that its temporaries stay small; whole batches raised
+# the peak RSS of a campaign by about 1 MB.
+_SCREEN_BLOCK = 8192
+
+
 def _uniform_in_groups(
     points: np.ndarray,
     group_of_bs: np.ndarray,
     n_groups: int,
     window_half_width: float,
     gen: np.random.Generator,
+    skip: int = -1,
 ) -> np.ndarray:
     """One uniform point per group, where group g's region is the union of
     the Voronoi cells of the stations with group_of_bs == g (clipped to the
     window).  Rejection-samples batches of window-uniform candidates and
-    keeps each group's first hit until every group has one.  Every station
-    lies in the window and the stations are distinct, so every region has
-    positive area and the loop ends with probability 1."""
+    keeps each group's first hit until every group has one; the kd-tree of
+    the stations decides which cell a candidate falls in.  Every station lies
+    in the window and the stations are distinct, so every region has positive
+    area and the loop ends with probability 1.  Group ``skip`` (the caller
+    places its terminal itself) is treated as filled from the start, and its
+    row stays zero.
+
+    Once at most ``_SCREEN_STATIONS`` stations of missing groups remain, each
+    batch is screened before the lookup against a local set L: those stations
+    plus their ``_SCREEN_NEIGHBOURS`` nearest stations.  A candidate goes on
+    to the kd-tree only if its nearest member of L is a missing group's
+    station, or ties with one within rounding.  The screen is exact: a point
+    in the cell of a missing station s is nearer to s than to every station,
+    so also than to every member of L.  Candidates are read in the same order
+    as without the screen, so every group gets the same first hit, and the
+    batch size only decides how far the stream is read past the last one.
+    """
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    out = np.empty((n_groups, 2))
+    out = np.zeros((n_groups, 2))
     missing = np.ones(n_groups, dtype=bool)
-    batch = max(512, 10 * len(points))
+    if skip >= 0:
+        missing[skip] = False
+    batch = max(512, 5 * len(points))
+    local = None
     while missing.any():
         cand = gen.uniform(-window_half_width, window_half_width, size=(batch, 2))
-        # one thread: a batch of 10 candidates per station is too small to repay
-        # starting worker threads
+        if local is not None:
+            (lx, ly), m = local
+            keep = np.empty(len(cand), dtype=bool)
+            step = _SCREEN_BLOCK // len(lx)
+            for lo in range(0, len(cand), step):
+                # squared distances from every member of L (rows; the missing
+                # stations first) to a block of candidates, in the kd-tree's
+                # form dx*dx + dy*dy; no BLAS product, whose threads cost CPU
+                block = cand[lo:lo + step]
+                d2 = np.subtract.outer(lx, block[:, 0])
+                d2 *= d2
+                dy = np.subtract.outer(ly, block[:, 1])
+                dy *= dy
+                d2 += dy
+                near_other = d2[m:].min(axis=0, initial=np.inf)
+                keep[lo:lo + step] = d2[:m].min(axis=0) <= near_other * (1.0 + 1e-9)
+            cand = cand[keep]
+        # one thread: a batch of a few candidates per station is too small to
+        # repay starting worker threads
         _, owner = tree.query(cand, workers=1)
-        uniq, first = np.unique(group_of_bs[owner], return_index=True)
-        fill = missing[uniq]
-        out[uniq[fill]] = cand[first[fill]]
+        group = group_of_bs[owner]
+        hit = np.flatnonzero(missing[group])
+        uniq, first = np.unique(group[hit], return_index=True)
+        out[uniq] = cand[hit[first]]
         missing[uniq] = False
+        in_missing = missing[group_of_bs]
+        stations = np.flatnonzero(in_missing)
+        if 0 < len(stations) <= _SCREEN_STATIONS:
+            k = min(_SCREEN_NEIGHBOURS + 1, len(points))
+            near = np.zeros(len(points), dtype=bool)
+            near[tree.query(points[stations], k=k, workers=1)[1]] = True
+            members = np.concatenate([stations, np.flatnonzero(near & ~in_missing)])
+            local = points[members].T, len(stations)
     return out
 
 
@@ -250,9 +311,10 @@ def assign_directions_and_ues(
     unpaired_active_dl = gen.uniform(size=len(unpaired)) < delta
 
     # Terminals: one per pair (uniform in the union of the two cells), one
-    # per unmatched station (uniform in its own cell).
+    # per unmatched station (uniform in its own cell).  The probe's own group
+    # is skipped: its terminal is the probe terminal, set below.
     active_ues = _uniform_in_groups(points, group_of_bs, n_pairs + len(unpaired),
-                                    window_half_width, gen)
+                                    window_half_width, gen, skip=probe_group)
 
     # Orient each pair: the member nearer its terminal receives UL.
     ues = active_ues[:n_pairs]
@@ -331,7 +393,7 @@ def generate_deployment(
             continue
         return dep, resamples
     expected = lambda_b * (2.0 * window_half_width) ** 2
-    raise RuntimeError(
+    raise NoRealizationError(
         f"no usable realization in {max_resamples + 1} draws: {sparse} had fewer than "
         f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window) and "
         f"{max_resamples + 1 - sparse} left the typical BS unmatched"

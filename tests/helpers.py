@@ -131,3 +131,31 @@ def reference_pair_bs(points: np.ndarray, adjacency, gen: np.random.Generator):
     pairs = [(i, j) for i, j in enumerate(partner) if i < j]
     unpaired = [i for i in range(n) if partner[i] < 0]
     return pairs, unpaired
+
+
+def reference_uniform_in_groups(
+    points: np.ndarray,
+    group_of_bs: np.ndarray,
+    n_groups: int,
+    window_half_width: float,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """The unscreened placement loop that predates the screened one, kept as
+    its reference: every window-uniform candidate, in batches of
+    max(512, 10N), goes to the kd-tree, and each group keeps its first hit."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points)
+    out = np.empty((n_groups, 2))
+    missing = np.ones(n_groups, dtype=bool)
+    batch = max(512, 10 * len(points))
+    while missing.any():
+        cand = gen.uniform(-window_half_width, window_half_width, size=(batch, 2))
+        # one thread: a batch of 10 candidates per station is too small to repay
+        # starting worker threads
+        _, owner = tree.query(cand, workers=1)
+        uniq, first = np.unique(group_of_bs[owner], return_index=True)
+        fill = missing[uniq]
+        out[uniq[fill]] = cand[first[fill]]
+        missing[uniq] = False
+    return out

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from dudasim.deployment import (
     _uniform_in_groups,
 )
 
-from helpers import brute_force_delaunay_edges, reference_pair_bs
+from helpers import brute_force_delaunay_edges, reference_pair_bs, reference_uniform_in_groups
 
 LAMBDA = 0.005
 HALF = 75.0
@@ -374,6 +375,12 @@ class TestTerminalPlacement:
     # 3 x 3 stations at spacing 10 in the window [-15, 15]^2: every Voronoi
     # cell is an exact 10 x 10 square
     GRID = np.array([[x, y] for x in (-10.0, 0.0, 10.0) for y in (-10.0, 0.0, 10.0)])
+    # four stations at 0.3 m around the origin cut its cell down to the
+    # square [-0.15, 0.15]^2 (0.09 m^2); the grid's outer eight ring them
+    TINY = np.vstack([
+        [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]],
+        GRID[np.any(GRID != 0.0, axis=1)],
+    ])
 
     def test_terminals_uniform_in_square_cells(self):
         # stations 0 and 1 share an edge and form a pair (a 10 x 20 region);
@@ -399,12 +406,9 @@ class TestTerminalPlacement:
         assert sps.chi2.sf(stat, dof) > 1e-3
 
     def test_tiny_cell_needs_many_batches_and_stays_uniform(self):
-        # four stations at 0.3 m around the origin cut its cell down to the
-        # square [-0.15, 0.15]^2 (0.09 m^2): a 512-candidate batch on the
-        # 900 m^2 window hits it with probability 1 - exp(-0.0512) ~ 0.05
-        cluster = np.array([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.3], [0.0, -0.3]])
-        ring = self.GRID[np.any(self.GRID != 0.0, axis=1)]
-        points = np.vstack([cluster, ring])
+        # a 512-candidate batch on the 900 m^2 window hits the 0.09 m^2 cell
+        # with probability 1 - exp(-0.0512) ~ 0.05
+        points = self.TINY
         group_of_bs = np.arange(len(points))
         gen = CountingGenerator(np.random.default_rng(7))
         n = 800
@@ -415,6 +419,52 @@ class TestTerminalPlacement:
         assert gen.calls / n > 12
         stat, dof = chi_square_uniform(ues, np.array([-0.15, -0.15]), 0.3, 3)
         assert sps.chi2.sf(stat, dof) > 1e-3
+
+    @staticmethod
+    def _groups(points, scheme, gen):
+        """Terminal groups as ``assign_directions_and_ues`` numbers them: one
+        per pair, then one per unmatched station."""
+        if scheme == "duda":
+            indptr, indices, _ = delaunay_adjacency(points)
+            pairs, unpaired = pair_bs(points, indptr, indices, gen)
+        else:
+            pairs, unpaired = np.empty((0, 2), dtype=int), np.arange(len(points))
+        group_of_bs = np.empty(len(points), dtype=int)
+        group_of_bs[pairs[:, 0]] = group_of_bs[pairs[:, 1]] = np.arange(len(pairs))
+        group_of_bs[unpaired] = np.arange(len(pairs), len(pairs) + len(unpaired))
+        return group_of_bs, len(pairs) + len(unpaired)
+
+    @staticmethod
+    def _assert_matches_reference(points, group_of_bs, n_groups, half, gen, skip=-1):
+        ref_gen = copy.deepcopy(gen)
+        got = _uniform_in_groups(points, group_of_bs, n_groups, half, gen, skip)
+        want = reference_uniform_in_groups(points, group_of_bs, n_groups, half, ref_gen)
+        keep = np.arange(n_groups) != skip
+        assert np.array_equal(got[keep], want[keep])
+
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_matches_reference_placement(self, scheme):
+        # the screened loop keeps the unscreened loop's first hits exactly;
+        # the probe's group, which the generator skips, is left out
+        for lam, count in ((LAMBDA, 300), (0.04, 40)):
+            for mode in ("dl", "ul"):
+                for i in range(count):
+                    gen = RngStream(46, i).generator(int(lam * 1e4))
+                    pts = sample_ppp(lam, HALF, gen)
+                    if mode == "ul":
+                        pts = np.vstack([np.zeros((1, 2)), pts])
+                    if len(pts) < 2:
+                        continue
+                    group_of_bs, n_groups = self._groups(pts, scheme, gen)
+                    probe = int(group_of_bs[np.argmin(np.linalg.norm(pts, axis=1))])
+                    self._assert_matches_reference(pts, group_of_bs, n_groups, HALF, gen, probe)
+        # the 3 x 3 grid (stations 0 and 1 paired for duda) and the tiny cell
+        grid_groups = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]) if scheme == "duda" else np.arange(9)
+        for points, group_of_bs in ((self.GRID, grid_groups), (self.TINY, np.arange(13))):
+            n_groups = int(group_of_bs.max()) + 1
+            for seed in range(100):
+                gen = np.random.default_rng(seed)
+                self._assert_matches_reference(points, group_of_bs, n_groups, 15.0, gen)
 
 
 class TestSpatialStatistics:

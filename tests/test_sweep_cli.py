@@ -260,6 +260,16 @@ class TestCli:
         assert main([command, "--config", str(cfg), *flags]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
+    @pytest.mark.parametrize("command", ["simulate", "snapshot"])
+    def test_window_too_small_for_any_station_exits_2(self, tmp_path: Path, capsys, command):
+        # 0.005 stations expected in a 1 m window: every draw is unusable
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("window_side = 1\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: no usable realization in 65 draws: 65 had fewer than 2"
+        )
+
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
         assert out.returncode == 2
