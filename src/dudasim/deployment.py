@@ -60,7 +60,9 @@ class Deployment:
     pair's terminal receives UL, the farther transmits DL.  ``pair_active_dl``
     is each interfering pair's drawn link direction (ignored for the probe's
     own pair, which carries the two-way transaction).  ``active_ues`` holds
-    one terminal per pair followed by one per unmatched BS.
+    one terminal per pair followed by one per unmatched BS; a deployment
+    built with ``all_terminals=False`` has NaN rows for the DL-active
+    unmatched stations, whose terminals only receive.
     """
 
     window_half_width: float
@@ -133,11 +135,16 @@ def pair_bs(
     together they partition all indices.
     """
     n = len(points)
+    x, y = points.T
     row = np.repeat(np.arange(n), np.diff(indptr))
-    d = points[indices] - points[row]
-    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    # rows stay contiguous, each sorted by (squared distance, index)
-    nbrs = indices[np.lexsort((indices, d2, row))].tolist()
+    dx = x[indices] - x[row]
+    dy = y[indices] - y[row]
+    d2 = dx * dx + dy * dy
+    # rows stay contiguous, each sorted by (squared distance, index): a stable
+    # two-key sort of the index order; equal indices sit only in different
+    # rows, so the unstable argsort cannot reorder a tie
+    o = np.argsort(indices)
+    nbrs = indices[o[np.lexsort((d2[o], row[o]))]].tolist()
     ptr = indptr.tolist()
     partner = [-1] * n
     for i in gen.permutation(n).tolist():
@@ -172,17 +179,18 @@ def _uniform_in_groups(
     n_groups: int,
     window_half_width: float,
     gen: np.random.Generator,
-    skip: int = -1,
+    need: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One uniform point per group, where group g's region is the union of
-    the Voronoi cells of the stations with group_of_bs == g (clipped to the
-    window).  Rejection-samples batches of window-uniform candidates and
-    keeps each group's first hit until every group has one; the kd-tree of
-    the stations decides which cell a candidate falls in.  Every station lies
-    in the window and the stations are distinct, so every region has positive
-    area and the loop ends with probability 1.  Group ``skip`` (the caller
-    places its terminal itself) is treated as filled from the start, and its
-    row stays zero.
+    """One uniform point per needed group, where group g's region is the
+    union of the Voronoi cells of the stations with group_of_bs == g (clipped
+    to the window).  Rejection-samples batches of window-uniform candidates
+    and keeps each group's first hit until every group in the boolean mask
+    ``need`` (every group when None) has one; the kd-tree of the stations
+    decides which cell a candidate falls in.  Every station lies in the window
+    and the stations are distinct, so every region has positive area and the
+    loop ends with probability 1.  Rows of groups not needed are NaN.  Which
+    groups are sought changes only how far the candidate stream is read, not
+    the first hit of any group sought.
 
     Once at most ``_SCREEN_STATIONS`` stations of missing groups remain, each
     batch is screened before the lookup against a local set L: those stations
@@ -197,10 +205,8 @@ def _uniform_in_groups(
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    out = np.zeros((n_groups, 2))
-    missing = np.ones(n_groups, dtype=bool)
-    if skip >= 0:
-        missing[skip] = False
+    out = np.full((n_groups, 2), np.nan)
+    missing = np.ones(n_groups, dtype=bool) if need is None else np.array(need, dtype=bool)
     batch = max(512, 5 * len(points))
     local = None
     while missing.any():
@@ -253,6 +259,7 @@ def assign_directions_and_ues(
     scheme: str = "duda",
     lambda_b: float | None = None,
     degenerate: bool = False,
+    all_terminals: bool = True,
 ) -> Deployment:
     """Draw link directions and terminal positions, and anchor the probe.
 
@@ -262,6 +269,13 @@ def assign_directions_and_ues(
     a decoupled-scheme realization (callers resample).  ``lambda_b`` is only
     needed in "ul" typical mode, where the probe terminal's distance is
     drawn from the nearest-neighbour law of that intensity.
+
+    With ``all_terminals`` false, only the terminals that the deployment's
+    own directions read are placed: one per pair (it orients the pair) and
+    one per UL-active unmatched station.  A DL-active unmatched station's
+    row of ``active_ues`` is then NaN.  Directions are drawn before the
+    terminals and nothing is drawn after them, so every other array is the
+    same as with all terminals placed.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -312,9 +326,13 @@ def assign_directions_and_ues(
 
     # Terminals: one per pair (uniform in the union of the two cells), one
     # per unmatched station (uniform in its own cell).  The probe's own group
-    # is skipped: its terminal is the probe terminal, set below.
-    active_ues = _uniform_in_groups(points, group_of_bs, n_pairs + len(unpaired),
-                                    window_half_width, gen, skip=probe_group)
+    # is skipped: its terminal is the probe terminal, set below.  Without
+    # all_terminals, so are the DL-active unmatched stations' groups.
+    need = np.ones(n_pairs + len(unpaired), dtype=bool)
+    if not all_terminals:
+        need[n_pairs:] = ~unpaired_active_dl
+    need[probe_group] = False
+    active_ues = _uniform_in_groups(points, group_of_bs, len(need), window_half_width, gen, need)
 
     # Orient each pair: the member nearer its terminal receives UL.
     ues = active_ues[:n_pairs]
@@ -355,9 +373,11 @@ def generate_deployment(
     scheme: str = "duda",
     typical_mode: str = "dl",
     max_resamples: int = 64,
+    all_terminals: bool = True,
 ) -> Tuple[Deployment, int]:
     """Produce one usable realization, resampling when the probe's serving
     BS ends up unmatched (decoupled scheme); returns (deployment, resamples).
+    ``all_terminals`` is passed to ``assign_directions_and_ues``.
     """
     resamples = sparse = 0
     for attempt in range(max_resamples + 1):
@@ -387,6 +407,7 @@ def generate_deployment(
                 scheme=scheme,
                 lambda_b=lambda_b,
                 degenerate=degen,
+                all_terminals=all_terminals,
             )
         except TypicalUnpairedError:
             resamples += 1

@@ -52,7 +52,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .deployment import Deployment, RngStream, generate_deployment
+from .deployment import Deployment, NoRealizationError, RngStream, generate_deployment
 from .latency import protocol_delay_sample
 from .params import SlotTiming, SystemParams, TrialConfig
 
@@ -171,24 +171,36 @@ def run_campaign(config: TrialConfig) -> LatencyStats:
 
     Each deployment is reduced to its exact conditional success
     probabilities as it is generated; one vectorized draw then gives every
-    trial's attempts under the configured attempt model.
+    trial's attempts under the configured attempt model.  Only the terminals
+    that transmit are placed, unless ``direction_redraw`` lets every unit
+    transmit from its terminal.  The campaign resamples at most 10x
+    iterations times in all; past that it raises NoRealizationError.
     """
     params, n = config.params, config.iterations
     redraw = config.attempt_model == "fixed" and config.direction_redraw
     probs = np.empty((3, n))
     resamples = 0
     for it in range(n):
-        dep, rs = generate_deployment(
-            params.lambda_b,
-            params.delta,
-            config.window_half_width,
-            RngStream(config.seed, it),
-            scheme=config.scheme,
-            typical_mode=config.typical_mode,
-        )
+        budget = 10 * n - resamples
+        try:
+            dep, rs = generate_deployment(
+                params.lambda_b,
+                params.delta,
+                config.window_half_width,
+                RngStream(config.seed, it),
+                scheme=config.scheme,
+                typical_mode=config.typical_mode,
+                max_resamples=min(64, budget),
+                all_terminals=redraw,
+            )
+        except NoRealizationError as exc:
+            if budget >= 64:
+                raise
+            raise NoRealizationError(
+                f"{exc}; the campaign's cap of {10 * n} resamples (10x iterations) "
+                f"ran out at iteration {it}"
+            ) from None
         resamples += rs
-        if resamples > 10 * n:
-            raise RuntimeError("typical-BS resampling exceeded 10x iterations")
         probs[:, it] = success_probabilities(dep, params, redraw)
 
     p_ul, p_dl, p_retry = probs

@@ -435,17 +435,21 @@ class TestTerminalPlacement:
         return group_of_bs, len(pairs) + len(unpaired)
 
     @staticmethod
-    def _assert_matches_reference(points, group_of_bs, n_groups, half, gen, skip=-1):
-        ref_gen = copy.deepcopy(gen)
-        got = _uniform_in_groups(points, group_of_bs, n_groups, half, gen, skip)
-        want = reference_uniform_in_groups(points, group_of_bs, n_groups, half, ref_gen)
-        keep = np.arange(n_groups) != skip
-        assert np.array_equal(got[keep], want[keep])
+    def _assert_matches_reference(points, group_of_bs, n_groups, half, gen, masks):
+        """Placement from the generator's state, seeking the groups of each
+        mask in turn, against the reference from the same state."""
+        want = reference_uniform_in_groups(points, group_of_bs, n_groups, half, copy.deepcopy(gen))
+        for need in masks:
+            got = _uniform_in_groups(points, group_of_bs, n_groups, half, copy.deepcopy(gen), need)
+            assert np.array_equal(got[need], want[need])
+            assert np.isnan(got[~need]).all()
 
     @pytest.mark.parametrize("scheme", ["duda", "duca"])
     def test_matches_reference_placement(self, scheme):
-        # the screened loop keeps the unscreened loop's first hits exactly;
-        # the probe's group, which the generator skips, is left out
+        # the screened loop keeps the unscreened loop's first hits exactly,
+        # both for every group but the probe's (as the generator seeks them)
+        # and for random subsets of the groups
+        masks = np.random.default_rng(47)
         for lam, count in ((LAMBDA, 300), (0.04, 40)):
             for mode in ("dl", "ul"):
                 for i in range(count):
@@ -457,14 +461,22 @@ class TestTerminalPlacement:
                         continue
                     group_of_bs, n_groups = self._groups(pts, scheme, gen)
                     probe = int(group_of_bs[np.argmin(np.linalg.norm(pts, axis=1))])
-                    self._assert_matches_reference(pts, group_of_bs, n_groups, HALF, gen, probe)
+                    need = np.arange(n_groups) != probe
+                    subset = masks.random(n_groups) < masks.uniform(0.1, 0.9)
+                    self._assert_matches_reference(
+                        pts, group_of_bs, n_groups, HALF, gen, (need, subset)
+                    )
         # the 3 x 3 grid (stations 0 and 1 paired for duda) and the tiny cell
         grid_groups = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]) if scheme == "duda" else np.arange(9)
         for points, group_of_bs in ((self.GRID, grid_groups), (self.TINY, np.arange(13))):
             n_groups = int(group_of_bs.max()) + 1
             for seed in range(100):
                 gen = np.random.default_rng(seed)
-                self._assert_matches_reference(points, group_of_bs, n_groups, 15.0, gen)
+                every = np.ones(n_groups, dtype=bool)
+                subset = masks.random(n_groups) < 0.5
+                self._assert_matches_reference(
+                    points, group_of_bs, n_groups, 15.0, gen, (every, subset)
+                )
 
 
 class TestSpatialStatistics:

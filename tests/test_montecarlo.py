@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dudasim import montecarlo
 from dudasim.deployment import Deployment, RngStream, generate_deployment
 from dudasim.latency import latency_duca, latency_duda
 from dudasim.montecarlo import (
@@ -407,6 +409,70 @@ class TestCampaign:
     def test_generation_abandons_hopeless_intensity(self):
         with pytest.raises(RuntimeError):
             generate_deployment(1e-9, 0.5, 10.0, RngStream(0, 0))
+
+
+class TestTransmittingTerminals:
+    """Campaigns without direction_redraw place only the terminals that
+    transmit; nothing they compute may change."""
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_lean_deployment_matches_full(self, scheme, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, count in ((0.005, 300), (0.04, 40)):
+                params = replace(TABLE, lambda_b=lam)
+                for it in range(count):
+                    stream = RngStream(48, it)
+                    full, rs_full = generate_deployment(
+                        lam, TABLE.delta, 75.0, stream, scheme, mode
+                    )
+                    lean, rs_lean = generate_deployment(
+                        lam, TABLE.delta, 75.0, stream, scheme, mode, all_terminals=False
+                    )
+                    assert rs_lean == rs_full
+                    # blank rows: exactly the DL-active unmatched stations'
+                    # terminals, the probe's own cell excepted
+                    blank = np.isnan(lean.active_ues).any(axis=1)
+                    n_pairs = len(full.pairs)
+                    assert not blank[:n_pairs].any()
+                    probe = full.unpaired == full.typical_ul_bs
+                    assert np.array_equal(blank[n_pairs:], full.unpaired_active_dl & ~probe)
+                    assert not np.isnan(full.active_ues).any()
+                    assert np.array_equal(lean.active_ues[~blank], full.active_ues[~blank])
+                    for name in ("bs_positions", "pairs", "unpaired", "pair_active_dl",
+                                 "unpaired_active_dl", "typical_ue"):
+                        assert np.array_equal(getattr(lean, name), getattr(full, name)), name
+                    for name in ("typical_ul_bs", "typical_dl_bs", "typical_pair_index",
+                                 "degenerate"):
+                        assert getattr(lean, name) == getattr(full, name), name
+                    # bit for bit, as each campaign builds its deployments
+                    assert success_probabilities(lean, params) == success_probabilities(
+                        full, params
+                    )
+                    redraw = success_probabilities(full, params, direction_redraw=True)
+                    assert redraw[:2] == success_probabilities(lean, params)[:2]
+
+    def test_campaign_places_the_terminals_it_reads(self, monkeypatch):
+        # a direction_redraw retry lets every unit transmit from its terminal
+        seen = []
+
+        def record(*args, **kwargs):
+            dep, rs = generate_deployment(*args, **kwargs)
+            seen.append(dep)
+            return dep, rs
+
+        monkeypatch.setattr(montecarlo, "generate_deployment", record)
+        for scheme in ("duda", "duca"):
+            for redraw in (True, False):
+                seen.clear()
+                run_campaign(TrialConfig(
+                    iterations=20, seed=49, scheme=scheme,
+                    attempt_model="fixed", direction_redraw=redraw,
+                ))
+                blank = [bool(np.isnan(dep.active_ues).any()) for dep in seen]
+                assert len(blank) == 20
+                assert any(blank) != redraw
 
 
 class TestSyntheticCampaign:

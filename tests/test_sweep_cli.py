@@ -270,6 +270,17 @@ class TestCli:
             "configuration error: no usable realization in 65 draws: 65 had fewer than 2"
         )
 
+    def test_campaign_resample_cap_exits_2(self, tmp_path: Path, capsys):
+        # 0.5 stations expected in a 10 m window: most draws hold fewer than
+        # 2, and the campaign runs out of its cap of 10x iterations resamples
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("window_side = 10\niterations = 50\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no usable realization in ")
+        assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.5" in err
+        assert "cap of 500 resamples (10x iterations) ran out" in err
+
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
         assert out.returncode == 2
