@@ -2,10 +2,9 @@
 """Stochastic-geometry success probabilities of the decoupled scheme.
 
 Evaluates the UL and DL analytic success probabilities at the standard
-parameter set, shows the quadrature error estimates (0 for the closed-form
-DL probability), tabulates the UL Laplace functionals of the two
-interfering fields, and sweeps the traffic asymmetry ratio to expose the
-UL/DL interference trade-off.
+parameter set, tabulates the UL Laplace functionals of the two interfering
+fields, and sweeps the traffic asymmetry ratio to expose the UL/DL
+interference trade-off.
 """
 
 import math
@@ -33,14 +32,14 @@ print(f"interfering UL-UE density  {lambda_phi:.6f} per m^2")
 
 ru = ul_success_probability(params)
 rd = dl_success_probability(params)
-print(f"\nUL success probability rho_u = {ru.value:.6f}  (quadrature err {ru.quadrature_error:.1e})")
-print(f"DL success probability rho_d = {rd.value:.6f}  (quadrature err {rd.quadrature_error:.1e})")
+print(f"\nUL success probability rho_u = {ru:.6f}")
+print(f"DL success probability rho_d = {rd:.6f}")
 
 
 def laplace(density, kappa, r, exclusion):
     """exp(-2 pi density T): one interfering field's Laplace functional at
     the serving BS of a UL link of distance r."""
-    tail = interference_tail_integral(kappa, params.beta_u, r, params.alpha, exclusion).value
+    tail = interference_tail_integral(kappa, params.beta_u, r, params.alpha, exclusion)
     return math.exp(-2.0 * math.pi * density * tail)
 
 
@@ -59,7 +58,6 @@ print("\n=== Traffic asymmetry sweep ===")
 print(f"{'delta':>6} {'rho_u':>8} {'rho_d':>8}")
 for delta in np.linspace(0.1, 0.9, 9):
     p = replace(params, delta=float(delta))
-    print(f"{delta:6.1f} {ul_success_probability(p).value:8.4f} "
-          f"{dl_success_probability(p).value:8.4f}")
+    print(f"{delta:6.1f} {ul_success_probability(p):8.4f} {dl_success_probability(p):8.4f}")
 print("(more DL traffic -> more high-power interferers -> UL suffers, and "
       "vice versa)")

@@ -20,9 +20,7 @@ from .params import (
     TrialConfig,
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     validate,
-    watts_to_dbm,
 )
 from .latency import (
     LatencyBreakdown,
@@ -30,21 +28,13 @@ from .latency import (
     latency_duda,
     latency_gap,
     n_shot_success,
-    protocol_delay_expected,
     protocol_delay_sample,
-    retransmission_delay,
 )
 from .quadrature import (
     QuadratureConvergenceError,
     interference_tail_integral,
 )
-from .coverage import (
-    SuccessProbabilityResult,
-    dl_success_probability,
-    nearest_distance_pdf,
-    second_nearest_distance_pdf,
-    ul_success_probability,
-)
+from .coverage import dl_success_probability, ul_success_probability
 from .deployment import (
     Deployment,
     RngStream,
@@ -63,13 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LinkSuccess", "SlotTiming", "SystemParams", "TrialConfig",
-    "db_to_linear", "dbm_to_watts", "linear_to_db", "watts_to_dbm", "validate",
+    "db_to_linear", "dbm_to_watts", "validate",
     "LatencyBreakdown", "latency_duca", "latency_duda", "latency_gap",
-    "n_shot_success", "protocol_delay_expected", "protocol_delay_sample",
-    "retransmission_delay",
+    "n_shot_success", "protocol_delay_sample",
     "QuadratureConvergenceError", "interference_tail_integral",
-    "SuccessProbabilityResult", "dl_success_probability",
-    "nearest_distance_pdf", "second_nearest_distance_pdf", "ul_success_probability",
+    "dl_success_probability", "ul_success_probability",
     "Deployment", "RngStream", "assign_directions_and_ues", "delaunay_adjacency",
     "generate_deployment", "pair_bs", "sample_ppp", "snapshot_csv",
     "LatencyStats", "run_campaign", "run_synthetic_campaign", "samples_csv",

@@ -8,12 +8,13 @@ deployment realization as CSV for plotting).
 Flags mirror configuration keys and override the --config file, which in
 turn overrides the built-in defaults.  Exit codes: 0 success, 1 validation
 failure, 2 configuration error (a window too small to yield a usable
-realization included).
+realization included, and a sweep whose every row failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -115,8 +116,8 @@ def _cmd_analytic(args, bundle: ConfigBundle) -> int:
     link = bundle.forced_link
     if link is None:
         link = LinkSuccess(
-            ul_success_probability(bundle.params, include_noise=bundle.include_noise).value,
-            dl_success_probability(bundle.params, include_noise=bundle.include_noise).value,
+            ul_success_probability(bundle.params, include_noise=bundle.include_noise),
+            dl_success_probability(bundle.params, include_noise=bundle.include_noise),
         )
     lines = ["scheme,rho_u,rho_d,protocol,retransmission,fundamental,total"]
     for scheme in bundle.sweep.schemes:
@@ -150,6 +151,11 @@ def _cmd_simulate(args, bundle: ConfigBundle) -> int:
 def _cmd_sweep(args, bundle: ConfigBundle) -> int:
     rows = run_sweep(bundle.sweep, bundle)
     _emit(rows_to_csv(rows, bundle.emit_timing), args.out)
+    # run_sweep warns per failed row and writes it as NaNs; a sweep with no
+    # good row at all is a configuration error, as it is for simulate
+    if all(math.isnan(r.latency_mean) for r in rows):
+        print(f"configuration error: all {len(rows)} sweep rows failed", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return EXIT_OK
 
 

@@ -44,40 +44,16 @@ less than 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams
-from .quadrature import IntegrationResult, integrate_finite, interference_tail_integral
-
-
-@dataclass(frozen=True)
-class SuccessProbabilityResult:
-    value: float
-    quadrature_error: float
-
-
-def nearest_distance_pdf(r, lam: float):
-    """Density of the distance from a uniform point to its nearest neighbour
-    in a Poisson field of intensity lam."""
-    r = np.asarray(r, dtype=float)
-    out = 2.0 * np.pi * lam * r * np.exp(-np.pi * lam * r * r)
-    return out if out.ndim else float(out)
+from .quadrature import integrate_finite, interference_tail_integral
 
 
 def nearest_distance_cdf(r, lam: float):
     r = np.asarray(r, dtype=float)
     out = 1.0 - np.exp(-np.pi * lam * r * r)
-    return out if out.ndim else float(out)
-
-
-def second_nearest_distance_pdf(d, lam: float):
-    """Density of the distance to the second-nearest point of a Poisson
-    field of intensity lam."""
-    d = np.asarray(d, dtype=float)
-    x = np.pi * lam * d * d
-    out = 2.0 * (np.pi * lam) ** 2 * d**3 * np.exp(-x)
     return out if out.ndim else float(out)
 
 
@@ -88,11 +64,6 @@ def second_nearest_distance_cdf(d, lam: float):
     return out if out.ndim else float(out)
 
 
-def _tail(kappa: float, beta: float, alpha: float, a: float) -> float:
-    """Interference tail at unit serving distance, T(kappa, beta, a)."""
-    return interference_tail_integral(kappa, beta, 1.0, alpha, a).value
-
-
 def _noise_nu(params: SystemParams, beta: float, power: float, include_noise: bool) -> float:
     """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2)."""
     if not include_noise:
@@ -100,48 +71,41 @@ def _noise_nu(params: SystemParams, beta: float, power: float, include_noise: bo
     return beta * params.noise_power / power / (math.pi * params.lambda_b) ** (params.alpha / 2)
 
 
-def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> IntegrationResult:
+def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> float:
     """M_n(b) = int_0^inf u^(n-1) exp(-b*u - nu*u^(alpha/2)) du: Gamma(n)/b^n
     for nu = 0, otherwise a quadrature in x, with b*u = n*x/(1-x)."""
     if nu == 0.0:
-        return IntegrationResult(math.gamma(n) / b**n, 0.0)
+        return math.gamma(n) / b**n
 
     def integrand(x: float) -> float:
         s = n * x / (1.0 - x)
         return s ** (n - 1) * math.exp(-s - nu * (s / b) ** (alpha / 2)) * n / (1.0 - x) ** 2
 
-    res = integrate_finite(integrand, 0.0, 1.0)
-    return IntegrationResult(res.value / b**n, res.error / b**n)
+    return integrate_finite(integrand, 0.0, 1.0) / b**n
 
 
-def ul_success_probability(
-    params: SystemParams, include_noise: bool = False
-) -> SuccessProbabilityResult:
+def ul_success_probability(params: SystemParams, include_noise: bool = False) -> float:
     """Probability that a typical UL data transmission clears beta_u:
     int_0^inf w*M_3(B(w)) dw, one quadrature over the partner-distance
     ratio w, mapped onto [0, 1) by w = b0*x/(1-x)."""
     alpha, delta, beta = params.alpha, params.delta, params.beta_u
     kappa = params.p_b / params.p_m
-    b0 = 1.0 + (1.0 - delta) * _tail(1.0, beta, alpha, 1.0)
+    b0 = 1.0 + (1.0 - delta) * interference_tail_integral(1.0, beta, 1.0, alpha, 1.0)
     nu = _noise_nu(params, beta, params.p_m, include_noise)
 
     def integrand(x: float) -> float:
         w = b0 * x / (1.0 - x)
-        b = b0 + w + delta * _tail(kappa, beta, alpha, math.sqrt(w))
-        return w * _gamma_moment(3, b, nu, alpha).value * b0 / (1.0 - x) ** 2
+        b = b0 + w + delta * interference_tail_integral(kappa, beta, 1.0, alpha, math.sqrt(w))
+        return w * _gamma_moment(3, b, nu, alpha) * b0 / (1.0 - x) ** 2
 
-    res = integrate_finite(integrand, 0.0, 1.0)
-    return SuccessProbabilityResult(value=res.value, quadrature_error=res.error)
+    return integrate_finite(integrand, 0.0, 1.0)
 
 
-def dl_success_probability(
-    params: SystemParams, include_noise: bool = False
-) -> SuccessProbabilityResult:
+def dl_success_probability(params: SystemParams, include_noise: bool = False) -> float:
     """Probability that a typical DL ACK transmission clears beta_d:
     M_2(1 + K), which is 1/(1+K)^2 without noise."""
     alpha, delta, beta = params.alpha, params.delta, params.beta_d
-    k = delta * _tail(1.0, beta, alpha, 1.0) + (1.0 - delta) * _tail(
-        params.p_m / params.p_b, beta, alpha, 0.0
-    )
-    res = _gamma_moment(2, 1.0 + k, _noise_nu(params, beta, params.p_b, include_noise), alpha)
-    return SuccessProbabilityResult(value=res.value, quadrature_error=res.error)
+    tail_bs = interference_tail_integral(1.0, beta, 1.0, alpha, 1.0)
+    tail_ue = interference_tail_integral(params.p_m / params.p_b, beta, 1.0, alpha, 0.0)
+    k = delta * tail_bs + (1.0 - delta) * tail_ue
+    return _gamma_moment(2, 1.0 + k, _noise_nu(params, beta, params.p_b, include_noise), alpha)

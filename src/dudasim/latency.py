@@ -15,11 +15,11 @@ Protocol-delay fine print: for a packet of size s_u generated at offset t
 
     (t_d - t) * t_d/(t_d+t_u) + (2*t_d + t_u - t) * s_u/(t_d+t_u),
 
-whose expectation is exactly the closed form in ``protocol_delay_expected``.
-The strict wait-until-the-next-usable-slot timeline (``slot_wait_time``)
-has a larger mean, by (t_d-s_u)*(t_u-s_u)/(2*(t_d+t_u)); the closed-form
-convention is kept as the single source of truth so that analytic results
-and sampled trials agree.
+whose expectation is exactly the protocol delay of ``latency_duca``.  The
+strict wait-until-the-next-usable-slot timeline has a larger mean, by
+(t_d-s_u)*(t_u-s_u)/(2*(t_d+t_u)); the closed-form convention is kept as
+the single source of truth so that analytic results and sampled trials
+agree.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def n_shot_success(link: LinkSuccess, n: int) -> float:
     return 1.0 - (1.0 - link.rho_u * link.rho_d) ** n
 
 
-def protocol_delay_expected(timing: SlotTiming) -> float:
+def _protocol_delay_expected(timing: SlotTiming) -> float:
     """Expected protocol delay of the coupled TDD scheme, in slots."""
     t_d, t_u, s_u = timing.t_d, timing.t_u, timing.s_u
     return (t_d * t_d + (2.0 * t_d + t_u) * s_u) / (t_d + t_u) - (t_d + s_u) / 2.0
@@ -65,8 +65,8 @@ def protocol_delay_expected(timing: SlotTiming) -> float:
 def protocol_delay_sample(timing: SlotTiming, t: float) -> float:
     """Per-arrival protocol delay at frame offset t in [0, t_d + t_u).
 
-    Linear in t; averaging over a uniform offset reproduces
-    ``protocol_delay_expected`` exactly.  Individual draws may be slightly
+    Linear in t; averaging over a uniform offset reproduces the protocol
+    delay of ``latency_duca`` exactly.  Individual draws may be slightly
     negative for late arrivals (a quirk of the closed-form convention, see
     the module docstring); totals remain positive.
     """
@@ -75,23 +75,7 @@ def protocol_delay_sample(timing: SlotTiming, t: float) -> float:
     return (t_d - t) * t_d / frame + (2.0 * t_d + t_u - t) * s_u / frame
 
 
-def slot_wait_time(timing: SlotTiming, t: float) -> float:
-    """Strict slot-timeline wait for a packet generated at offset t.
-
-    A packet arriving during the DL slot waits until the UL slot starts;
-    one arriving too late to finish inside the current UL slot waits for the
-    next one.  Documented alternative to ``protocol_delay_sample``: its mean
-    exceeds the closed form by (t_d-s_u)*(t_u-s_u)/(2*(t_d+t_u)).
-    """
-    t_d, t_u, s_u = timing.t_d, timing.t_u, timing.s_u
-    if t <= t_d:
-        return t_d - t
-    if t <= t_d + t_u - s_u:
-        return 0.0
-    return (t_d + t_u - t) + t_d
-
-
-def retransmission_delay(link: LinkSuccess, cycle: float) -> float:
+def _retransmission_delay(link: LinkSuccess, cycle: float) -> float:
     """Expected retransmission delay for a retry cycle of given duration.
 
     The number of attempts until the first two-way success is geometric
@@ -113,8 +97,8 @@ def latency_duca(timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
     the UL slot plus the ACK size.
     """
     return LatencyBreakdown(
-        protocol=protocol_delay_expected(timing),
-        retransmission=retransmission_delay(link, timing.t_d + timing.t_u),
+        protocol=_protocol_delay_expected(timing),
+        retransmission=_retransmission_delay(link, timing.t_d + timing.t_u),
         fundamental=timing.t_u + timing.s_d,
     )
 
@@ -130,7 +114,7 @@ def latency_duda(timing: SlotTiming, link: LinkSuccess, w: float | None = None) 
         w = timing.w
     return LatencyBreakdown(
         protocol=0.0,
-        retransmission=retransmission_delay(link, timing.s_u + w),
+        retransmission=_retransmission_delay(link, timing.s_u + w),
         fundamental=timing.s_u + timing.s_d,
     )
 

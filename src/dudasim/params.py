@@ -12,7 +12,6 @@ are kept apart as ``SystemParams.bandwidth`` and ``SlotTiming.w``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -22,19 +21,9 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    """Convert a power level in watts to dBm."""
-    return 10.0 * math.log10(p_watts) + 30.0
-
-
 def db_to_linear(x_db: float) -> float:
     """Convert a ratio in dB to a linear ratio."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear ratio to dB."""
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)

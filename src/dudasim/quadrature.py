@@ -7,14 +7,16 @@ Baccelli and Ganti, IEEE TCOM 2011).  The expectations over link distance
 are exact Gamma integrals except the UL average over the partner distance,
 and the noise factor when noise is on; those run on QUADPACK
 (scipy.integrate.quad: adaptive Gauss-Kronrod with an error estimate) over
-a finite interval, with the tolerances below.
+a finite interval, with the tolerances below.  ``integrate_finite`` and
+``interference_tail_integral`` return plain floats; a QUADPACK run that
+exhausts its subdivisions raises QuadratureConvergenceError instead.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable
 
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
@@ -32,11 +34,6 @@ def _hyp2f1(a, b, c, z):
     return hyp2f1(a, b, c, z)
 
 
-class IntegrationResult(NamedTuple):
-    value: float
-    error: float
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Raised when the subdivision budget is exhausted before the requested
     tolerance is met; carries the best value and its achieved error estimate."""
@@ -47,9 +44,10 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float) -> IntegrationResult:
-    """Adaptive integral of f over [a, b] with its error estimate; raises
-    QuadratureConvergenceError if MAX_SUBDIVISIONS is exhausted first."""
+def integrate_finite(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive integral of f over [a, b]; raises QuadratureConvergenceError,
+    with the best value and its error estimate, if MAX_SUBDIVISIONS is
+    exhausted before the tolerances are met."""
     # imported here: most entry points never integrate, and the import is slow
     from scipy.integrate import IntegrationWarning, quad
 
@@ -60,16 +58,16 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float) -> Integra
     if len(out) > 3:  # an explanation message is appended on failure
         msg = "finite integral did not converge within MAX_SUBDIVISIONS"
         raise QuadratureConvergenceError(msg, out[0], out[1])
-    return IntegrationResult(out[0], out[1])
+    return out[0]
 
 
 def interference_tail_integral(
     kappa: float, beta: float, r: float, alpha: float, a: float
-) -> IntegrationResult:
+) -> float:
     """Interference tail  integral_a^inf c x^(1-alpha) / (1 + c x^-alpha) dx,
     c = kappa*beta*r^alpha, for power ratio kappa, SINR threshold beta,
     serving distance r and exclusion radius a >= 0.  With q = a / c^(1/alpha)
-    it equals, to rounding (error 0.0), c^(2/alpha) q^(2-alpha)/(alpha-2) *
+    it equals, to rounding, c^(2/alpha) q^(2-alpha)/(alpha-2) *
     2F1(1, 1-2/alpha; 2-2/alpha; -q^-alpha), or c^(2/alpha) (pi/alpha) /
     sin(2 pi/alpha) at a = 0.  That a = 0 value is also used below q = 1e-8,
     where q^-alpha may overflow; it is too big by at most a^2/2, relative q^2."""
@@ -80,10 +78,10 @@ def interference_tail_integral(
 
     c = kappa * beta * r**alpha
     if c == 0.0:
-        return IntegrationResult(0.0, 0.0)
+        return 0.0
     scale, q = c ** (2.0 / alpha), a / c ** (1.0 / alpha)
     if q < 1e-8:
-        return IntegrationResult(scale * (math.pi / alpha) / math.sin(2.0 * math.pi / alpha), 0.0)
+        return float(scale * (math.pi / alpha) / math.sin(2.0 * math.pi / alpha))
     b = 1.0 - 2.0 / alpha
     f21 = _hyp2f1(1.0, b, b + 1.0, -(q**-alpha))
-    return IntegrationResult(float(scale * q ** (2.0 - alpha) / (alpha - 2.0) * f21), 0.0)
+    return float(scale * q ** (2.0 - alpha) / (alpha - 2.0) * f21)

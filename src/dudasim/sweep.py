@@ -152,8 +152,8 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
             key = (params.lambda_b, params.delta, params.alpha, params.beta_u, params.beta_d)
             if key not in analytic_cache:
                 analytic_cache[key] = LinkSuccess(
-                    ul_success_probability(params, include_noise=bundle.include_noise).value,
-                    dl_success_probability(params, include_noise=bundle.include_noise).value,
+                    ul_success_probability(params, include_noise=bundle.include_noise),
+                    dl_success_probability(params, include_noise=bundle.include_noise),
                 )
             return analytic_cache[key]
 

@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and references for the test suite.
 
 The interference-field oracle estimates Laplace functionals by realizing
 Poisson fields directly: conditional on interferer positions, averaging
@@ -16,6 +16,39 @@ from itertools import combinations
 from typing import Tuple
 
 import numpy as np
+
+
+def nearest_distance_pdf(r, lam: float):
+    """Density of the distance from a uniform point to its nearest neighbour
+    in a Poisson field of intensity lam."""
+    r = np.asarray(r, dtype=float)
+    out = 2.0 * np.pi * lam * r * np.exp(-np.pi * lam * r * r)
+    return out if out.ndim else float(out)
+
+
+def second_nearest_distance_pdf(d, lam: float):
+    """Density of the distance to the second-nearest point of a Poisson
+    field of intensity lam."""
+    d = np.asarray(d, dtype=float)
+    x = np.pi * lam * d * d
+    out = 2.0 * (np.pi * lam) ** 2 * d**3 * np.exp(-x)
+    return out if out.ndim else float(out)
+
+
+def slot_wait_time(timing, t: float) -> float:
+    """Strict slot-timeline wait for a packet generated at offset t.
+
+    A packet arriving during the DL slot waits until the UL slot starts;
+    one arriving too late to finish inside the current UL slot waits for the
+    next one.  The alternative to ``dudasim.latency.protocol_delay_sample``:
+    its mean exceeds the closed form by (t_d-s_u)*(t_u-s_u)/(2*(t_d+t_u)).
+    """
+    t_d, t_u, s_u = timing.t_d, timing.t_u, timing.s_u
+    if t <= t_d:
+        return t_d - t
+    if t <= t_d + t_u - s_u:
+        return 0.0
+    return (t_d + t_u - t) + t_d
 
 
 def sample_nearest_distance(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:

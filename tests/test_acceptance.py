@@ -114,8 +114,8 @@ def test_criterion_2_reduction_band():
 @pytest.mark.slow
 def test_criterion_3_analytic_vs_simulation(table_campaigns):
     stats = table_campaigns["duda"]
-    rho_u = ul_success_probability(TABLE).value
-    rho_d = dl_success_probability(TABLE).value
+    rho_u = ul_success_probability(TABLE)
+    rho_d = dl_success_probability(TABLE)
     du = abs(rho_u - stats.empirical_rho_u)
     dd = abs(rho_d - stats.empirical_rho_d)
     passed = du <= 0.03 and dd <= 0.05
@@ -136,7 +136,7 @@ def test_criterion_4_quadrature_closed_form():
     worst = 0.0
     for _ in range(10000):
         kappa, beta, r, a = 10.0 ** rng.uniform(-3, 3, size=4)
-        got = interference_tail_integral(kappa, beta, r, 4.0, a).value
+        got = interference_tail_integral(kappa, beta, r, 4.0, a)
         c = kappa * beta * r**4
         sc = math.sqrt(c)
         want = 0.5 * sc * (math.pi / 2.0 if a == 0.0 else math.atan2(sc, a * a))

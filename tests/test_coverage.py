@@ -9,9 +9,7 @@ from dudasim import coverage
 from dudasim.coverage import (
     dl_success_probability,
     nearest_distance_cdf,
-    nearest_distance_pdf,
     second_nearest_distance_cdf,
-    second_nearest_distance_pdf,
     ul_success_probability,
 )
 from dudasim.params import SystemParams, db_to_linear, dbm_to_watts
@@ -20,8 +18,10 @@ from dudasim.quadrature import interference_tail_integral
 from helpers import (
     field_log_products,
     mc_mean_and_se,
+    nearest_distance_pdf,
     sample_nearest_distance,
     sample_second_nearest_distance,
+    second_nearest_distance_pdf,
 )
 
 TABLE = SystemParams()
@@ -40,10 +40,10 @@ def dl_functionals(r, params, densities=None):
     exp(-2 pi lambda tail), at serving distance r: DL-BS interferers are
     excluded within r, UL-terminal interferers are not excluded at all."""
     lam_psi, lam_phi = densities or field_densities(params)
-    tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r).value
+    tail_bs = interference_tail_integral(1.0, params.beta_d, r, params.alpha, r)
     tail_ue = interference_tail_integral(
         params.p_m / params.p_b, params.beta_d, r, params.alpha, 0.0
-    ).value
+    )
     return (
         math.exp(-2 * math.pi * lam_psi * tail_bs),
         math.exp(-2 * math.pi * lam_phi * tail_ue),
@@ -57,8 +57,8 @@ def ul_functionals(r, t, params, densities=None):
     lam_psi, lam_phi = densities or field_densities(params)
     tail_bs = interference_tail_integral(
         params.p_b / params.p_m, params.beta_u, r, params.alpha, t
-    ).value
-    tail_ue = interference_tail_integral(1.0, params.beta_u, r, params.alpha, r).value
+    )
+    tail_ue = interference_tail_integral(1.0, params.beta_u, r, params.alpha, r)
     return (
         math.exp(-2 * math.pi * lam_psi * tail_bs),
         math.exp(-2 * math.pi * lam_phi * tail_ue),
@@ -108,14 +108,14 @@ class TestDensities:
 
     def test_from_params(self):
         want_u, want_d = nested_success_probabilities(TABLE, (0.5 * 0.5 * 0.005, 0.5 * 0.5 * 0.005))
-        assert ul_success_probability(TABLE).value == pytest.approx(want_u, rel=1e-8, abs=0.0)
-        assert dl_success_probability(TABLE).value == pytest.approx(want_d, rel=1e-8, abs=0.0)
+        assert ul_success_probability(TABLE) == pytest.approx(want_u, rel=1e-8, abs=0.0)
+        assert dl_success_probability(TABLE) == pytest.approx(want_d, rel=1e-8, abs=0.0)
 
     def test_traffic_split(self):
         p = replace(TABLE, delta=0.8)
         want_u, want_d = nested_success_probabilities(p, (0.002, 0.0005))
-        assert ul_success_probability(p).value == pytest.approx(want_u, rel=1e-8, abs=0.0)
-        assert dl_success_probability(p).value == pytest.approx(want_d, rel=1e-8, abs=0.0)
+        assert ul_success_probability(p) == pytest.approx(want_u, rel=1e-8, abs=0.0)
+        assert dl_success_probability(p) == pytest.approx(want_d, rel=1e-8, abs=0.0)
 
 
 class TestDistanceLaws:
@@ -195,7 +195,7 @@ class TestUlTerminalFunctionalClosedForm:
             # with the DL stations silenced, rho_u = int w 2/(b0 + w)^3 dw = 1/b0,
             # b0 = 1 + (1-delta) tail
             quiet = replace(p, p_b=1e-300)
-            assert ul_success_probability(quiet).value == pytest.approx(
+            assert ul_success_probability(quiet) == pytest.approx(
                 1.0 / (1.0 + 0.5 * tail), rel=1e-10, abs=0.0
             )
 
@@ -270,9 +270,8 @@ class TestSuccessProbabilityOracles:
         logs += field_log_products(rng, lam_phi, r, c_phi, TABLE.alpha)
         mean, se = mc_mean_and_se(np.exp(logs))
         got = ul_success_probability(TABLE)
-        assert got.quadrature_error < 1e-6
-        assert 0.0 < got.value < 1.0
-        assert abs(got.value - mean) < max(3 * se, 1e-3)
+        assert 0.0 < got < 1.0
+        assert abs(got - mean) < max(3 * se, 1e-3)
 
     def test_dl_success(self):
         rng = np.random.default_rng(109)
@@ -284,35 +283,35 @@ class TestSuccessProbabilityOracles:
         logs += field_log_products(rng, lam_phi, np.zeros(self.N_REAL), c_phi, TABLE.alpha)
         mean, se = mc_mean_and_se(np.exp(logs))
         got = dl_success_probability(TABLE)
-        assert 0.0 < got.value < 1.0
-        assert abs(got.value - mean) < max(3 * se, 1e-3)
+        assert 0.0 < got < 1.0
+        assert abs(got - mean) < max(3 * se, 1e-3)
 
 
 class TestSuccessProbabilityShape:
     def test_zero_threshold_limits(self):
         p = replace(TABLE, beta_u=1e-15, beta_d=1e-15)
-        assert ul_success_probability(p).value == pytest.approx(1.0, abs=1e-5)
-        assert dl_success_probability(p).value == pytest.approx(1.0, abs=1e-5)
+        assert ul_success_probability(p) == pytest.approx(1.0, abs=1e-5)
+        assert dl_success_probability(p) == pytest.approx(1.0, abs=1e-5)
 
     def test_monotone_in_threshold(self):
-        base = ul_success_probability(TABLE).value
-        doubled = ul_success_probability(replace(TABLE, beta_u=2.0)).value
+        base = ul_success_probability(TABLE)
+        doubled = ul_success_probability(replace(TABLE, beta_u=2.0))
         assert doubled < base
 
     def test_monotone_in_density(self):
         # Without noise the model is scale-invariant: every distance law and
         # interferer density scales with lambda_b, so both probabilities are
         # independent of it (monotone only in the weak sense, with equality).
-        base = ul_success_probability(TABLE).value
-        base_d = dl_success_probability(TABLE).value
+        base = ul_success_probability(TABLE)
+        base_d = dl_success_probability(TABLE)
         for lam in (0.0025, 0.01, 0.02):
             p = replace(TABLE, lambda_b=lam)
-            assert ul_success_probability(p).value == pytest.approx(base, rel=1e-12, abs=0.0)
-            assert dl_success_probability(p).value == pytest.approx(base_d, rel=1e-12, abs=0.0)
+            assert ul_success_probability(p) == pytest.approx(base, rel=1e-12, abs=0.0)
+            assert dl_success_probability(p) == pytest.approx(base_d, rel=1e-12, abs=0.0)
 
     def test_silent_terminals_help_dl(self):
-        base = dl_success_probability(TABLE).value
-        quiet = dl_success_probability(replace(TABLE, p_m=1e-12)).value
+        base = dl_success_probability(TABLE)
+        quiet = dl_success_probability(replace(TABLE, p_m=1e-12))
         assert quiet > base
         # with terminals silenced, only the BS field attenuates
         want, _ = quad(
@@ -324,19 +323,19 @@ class TestSuccessProbabilityShape:
         assert quiet == pytest.approx(want, abs=1e-6)
 
     def test_noise_factor_negligible_at_table_powers(self):
-        plain = ul_success_probability(TABLE).value
-        noisy = ul_success_probability(TABLE, include_noise=True).value
+        plain = ul_success_probability(TABLE)
+        noisy = ul_success_probability(TABLE, include_noise=True)
         assert abs(plain - noisy) < 1e-10
-        plain_d = dl_success_probability(TABLE).value
-        noisy_d = dl_success_probability(TABLE, include_noise=True).value
+        plain_d = dl_success_probability(TABLE)
+        noisy_d = dl_success_probability(TABLE, include_noise=True)
         assert abs(plain_d - noisy_d) < 1e-10
 
     def test_table_values_pinned(self):
         # frozen reference values of the analytic model at the standard
         # parameter table (regression anchors, cross-checked by the field
         # oracles above)
-        assert ul_success_probability(TABLE).value == pytest.approx(0.2615106, abs=2e-6)
-        assert dl_success_probability(TABLE).value == pytest.approx(0.8353827, abs=2e-6)
+        assert ul_success_probability(TABLE) == pytest.approx(0.2615106, abs=2e-6)
+        assert dl_success_probability(TABLE) == pytest.approx(0.8353827, abs=2e-6)
 
 
 class TestNoise:
@@ -345,13 +344,13 @@ class TestNoise:
 
     def test_noise_on_against_nested_reference(self):
         want_u, want_d = nested_success_probabilities(self.NOISY, include_noise=True)
-        got_u = ul_success_probability(self.NOISY, include_noise=True).value
-        got_d = dl_success_probability(self.NOISY, include_noise=True).value
+        got_u = ul_success_probability(self.NOISY, include_noise=True)
+        got_d = dl_success_probability(self.NOISY, include_noise=True)
         assert got_u == pytest.approx(want_u, rel=1e-7, abs=0.0)
         assert got_d == pytest.approx(want_d, rel=1e-7, abs=0.0)
         # the configuration is one where noise matters
-        assert got_u < 0.99 * ul_success_probability(self.NOISY).value
-        assert got_d < 0.99 * dl_success_probability(self.NOISY).value
+        assert got_u < 0.99 * ul_success_probability(self.NOISY)
+        assert got_d < 0.99 * dl_success_probability(self.NOISY)
 
     def test_quadrature_only_where_no_closed_form(self, monkeypatch):
         """Noise off: UL is one quadrature over the partner distance and DL
@@ -415,9 +414,9 @@ class TestHighPrecisionOracle:
         pytest.importorskip("mpmath")  # skipped with the other mpmath oracle tests
         for beta_u_db, want in self.RHO_U[alpha].items():
             p = replace(TABLE, alpha=alpha, beta_u=db_to_linear(beta_u_db))
-            got = ul_success_probability(p).value
+            got = ul_success_probability(p)
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-        got_d = dl_success_probability(replace(TABLE, alpha=alpha)).value
+        got_d = dl_success_probability(replace(TABLE, alpha=alpha))
         assert math.isfinite(got_d)
         assert got_d == pytest.approx(self.RHO_D[alpha], rel=1e-10, abs=0.0)

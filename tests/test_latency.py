@@ -8,12 +8,11 @@ from dudasim.latency import (
     latency_duda,
     latency_gap,
     n_shot_success,
-    protocol_delay_expected,
     protocol_delay_sample,
-    retransmission_delay,
-    slot_wait_time,
 )
 from dudasim.params import LinkSuccess, SlotTiming
+
+from helpers import slot_wait_time
 
 
 def timing(t_d=1.0, t_u=1.0, s_u=0.5, s_d=0.5, w=None):
@@ -45,6 +44,11 @@ class TestNShotSuccess:
         vals = [n_shot_success(link, n) for n in range(1, 40)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+def protocol_delay_expected(tm):
+    """The coupled scheme's protocol delay, read from its latency breakdown."""
+    return latency_duca(tm, LinkSuccess(1.0, 1.0)).protocol
 
 
 class TestProtocolDelay:
@@ -93,11 +97,15 @@ class TestProtocolDelay:
 
 
 class TestRetransmissionDelay:
+    """Retried cycles: t_d + t_u for the coupled scheme, s_u + w decoupled."""
+
     def test_perfect_links_no_delay(self):
-        assert retransmission_delay(LinkSuccess(1.0, 1.0), 2.0) == 0.0
+        assert latency_duca(timing(), LinkSuccess(1.0, 1.0)).retransmission == 0.0
+        assert latency_duda(timing(), LinkSuccess(1.0, 1.0)).retransmission == 0.0
 
     def test_half_product(self):
-        assert retransmission_delay(LinkSuccess(1.0, 0.5), 2.0) == pytest.approx(2.0)
+        assert latency_duca(timing(), LinkSuccess(1.0, 0.5)).retransmission == pytest.approx(2.0)
+        assert latency_duda(timing(), LinkSuccess(1.0, 0.5)).retransmission == pytest.approx(1.5)
 
     def test_monte_carlo_oracle(self):
         # sample geometric attempt counts, average (attempts-1)*cycle
@@ -109,11 +117,13 @@ class TestRetransmissionDelay:
         samples = (attempts - 1) * cycle
         se = samples.std() / math.sqrt(len(samples))
         assert abs(samples.mean() - want) < 3 * se
-        assert retransmission_delay(LinkSuccess(rho_u, rho_d), cycle) == pytest.approx(want, rel=1e-12)
+        got = latency_duda(timing(s_u=0.5, w=1.0), LinkSuccess(rho_u, rho_d)).retransmission
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_zero_success(self):
-        with pytest.raises(ValueError):
-            retransmission_delay(LinkSuccess(1.0, 0.0), 1.0)
+        for latency in (latency_duca, latency_duda):
+            with pytest.raises(ValueError):
+                latency(timing(), LinkSuccess(1.0, 0.0))
 
 
 class TestSchemeLatencies:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,8 @@ from dudasim.params import (
     SystemParams,
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     validate,
     validate_link,
-    watts_to_dbm,
 )
 
 
@@ -31,12 +31,13 @@ class TestUnitConversions:
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
 
     def test_round_trip(self):
+        # the inverses 10*log10(W) + 30 and 10*log10(x) undo both conversions
         rng = np.random.default_rng(1)
         for p in rng.uniform(-200.0, 60.0, size=2000):
             w = dbm_to_watts(p)
-            assert watts_to_dbm(w) == pytest.approx(p, rel=1e-12, abs=1e-12)
+            assert 10.0 * math.log10(w) + 30.0 == pytest.approx(p, rel=1e-12, abs=1e-12)
         for x in rng.uniform(-60.0, 60.0, size=2000):
-            assert linear_to_db(db_to_linear(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
+            assert 10.0 * math.log10(db_to_linear(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 class TestDefaults:

@@ -9,7 +9,7 @@ import pytest
 from dudasim.cli import main
 from dudasim.config import parse_config
 from dudasim.sweep import rows_to_csv, run_sweep
-from dudasim.validation import check_gap_identity, check_quadrature_closed_form, run_validation
+from dudasim.validation import check_gap_identity, check_tail_closed_form, run_validation
 
 
 def sweep_rows(text, **overrides):
@@ -148,11 +148,10 @@ class TestValidationModule:
         c = check_gap_identity(2000, seed=3)
         assert c.passed
 
-    def test_quadrature_check_skips_other_alpha(self):
-        c = check_quadrature_closed_form(3.5, 100, seed=3)
-        assert c.skipped
-        c4 = check_quadrature_closed_form(4.0, 200, seed=3)
-        assert c4.passed and not c4.skipped
+    @pytest.mark.parametrize("alpha", [2.0001, 2.05, 3.0, 3.5, 4.0, 6.0])
+    def test_tail_check_runs_at_every_alpha(self, alpha):
+        c = check_tail_closed_form(alpha, 200, seed=3)
+        assert c.passed, c.line()
 
     @pytest.mark.slow
     def test_report_structure_and_honest_failures(self):
@@ -160,13 +159,13 @@ class TestValidationModule:
         report = run_validation(bundle, spatial_draws=4000, gap_points=2000,
                                 quadrature_tuples=300)
         names = {c.name for c in report.checks}
-        assert {"quadrature_alpha4_closed_form", "ppp_count_chi_square",
+        assert {"tail_closed_form_vs_quadpack", "ppp_count_chi_square",
                 "nearest_distance_ks", "second_nearest_distance_ks",
                 "latency_gap_identity", "analytic_vs_mc_rho_u",
                 "analytic_vs_mc_rho_d"} <= names
         by_name = {c.name: c for c in report.checks}
         # structural and statistical checks hold
-        for name in ("quadrature_alpha4_closed_form", "ppp_count_chi_square",
+        for name in ("tail_closed_form_vs_quadpack", "ppp_count_chi_square",
                      "nearest_distance_ks", "second_nearest_distance_ks",
                      "latency_gap_identity"):
             assert by_name[name].passed, by_name[name].line()
@@ -201,7 +200,7 @@ class TestGeneralPathLossExponent:
 
         bundle = parse_config("alpha = 3.5\niterations = 200\n")
         rho = ul_success_probability(bundle.params)
-        assert 0.0 < rho.value < 1.0
+        assert 0.0 < rho < 1.0
         st = run_campaign(bundle.trial)
         assert len(st.samples) == 200
         assert 0.0 < st.empirical_rho_u < 1.0
@@ -280,6 +279,22 @@ class TestCli:
         assert err.startswith("configuration error: no usable realization in ")
         assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.5" in err
         assert "cap of 500 resamples (10x iterations) ran out" in err
+
+    def test_sweep_with_every_row_failed_exits_2(self, tmp_path: Path, capsys):
+        # the CSV still carries every row as NaNs, with a warning per row
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("window_side = 1\n")
+        assert main(["sweep", "--config", str(cfg), "--sweep", "s_u:0.1:0.9:2",
+                     "--mode", "simulate"]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [
+            f"s_u,{v},{s},simulate,nan,nan,nan,nan,nan"
+            for v in ("0.1", "0.9") for s in ("duda", "duca")
+        ]
+        lines = err.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("sweep point s_u=") for line in lines[:4])
+        assert lines[4] == "configuration error: all 4 sweep rows failed"
 
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
