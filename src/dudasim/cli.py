@@ -8,7 +8,8 @@ deployment realization as CSV for plotting).
 Flags mirror configuration keys and override the --config file, which in
 turn overrides the built-in defaults.  Exit codes: 0 success, 1 validation
 failure, 2 configuration error (a window too small to yield a usable
-realization included, and a sweep whose every row failed).
+realization included, a success probability whose quadrature does not
+converge, and a sweep whose every row failed).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .deployment import NoRealizationError, RngStream, generate_deployment, snap
 from .latency import latency_duca, latency_duda
 from .montecarlo import samples_csv
 from .params import LinkSuccess
+from .quadrature import QuadratureConvergenceError
 from .sweep import SweepRow, rows_to_csv, run_sweep, simulate_campaign, simulate_row
 
 EXIT_OK = 0
@@ -196,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         bundle = _load_bundle(args)
         return _COMMANDS[args.command](args, bundle)
-    except (ConfigError, NoRealizationError) as exc:
+    except (ConfigError, NoRealizationError, QuadratureConvergenceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

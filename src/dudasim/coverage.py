@@ -81,7 +81,7 @@ def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> float:
         s = n * x / (1.0 - x)
         return s ** (n - 1) * math.exp(-s - nu * (s / b) ** (alpha / 2)) * n / (1.0 - x) ** 2
 
-    return integrate_finite(integrand, 0.0, 1.0) / b**n
+    return integrate_finite(integrand, 0.0, 1.0, f"noise-on Gamma moment M_{n}") / b**n
 
 
 def ul_success_probability(params: SystemParams, include_noise: bool = False) -> float:
@@ -98,7 +98,7 @@ def ul_success_probability(params: SystemParams, include_noise: bool = False) ->
         b = b0 + w + delta * interference_tail_integral(kappa, beta, 1.0, alpha, math.sqrt(w))
         return w * _gamma_moment(3, b, nu, alpha) * b0 / (1.0 - x) ** 2
 
-    return integrate_finite(integrand, 0.0, 1.0)
+    return integrate_finite(integrand, 0.0, 1.0, "UL success probability integral")
 
 
 def dl_success_probability(params: SystemParams, include_noise: bool = False) -> float:

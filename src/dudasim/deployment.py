@@ -39,7 +39,24 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self, *extra: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream_id, *extra])
+        return np.random.default_rng(seed_words(self.seed, self.stream_id, *extra))
+
+
+def seed_words(*ints: int) -> np.ndarray:
+    """The uint32 entropy words numpy's SeedSequence makes of a list of
+    non-negative ints: each int's fewest little-endian 32-bit words, in
+    order.  ``default_rng(seed_words(*ints))`` is ``default_rng(list(ints))``
+    bit for bit, without numpy's per-call coercion of the list, and a loop
+    over streams can build the words once and rewrite only the id's word."""
+    words = []
+    for n in ints:
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n >> 32:
+            n >>= 32
+            words.append(n & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 class TypicalUnpairedError(RuntimeError):

@@ -47,12 +47,15 @@ quantitatively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .deployment import Deployment, NoRealizationError, RngStream, generate_deployment
+from .deployment import (
+    Deployment, NoRealizationError, RngStream, generate_deployment, seed_words,
+)
 from .latency import protocol_delay_sample
 from .params import SlotTiming, SystemParams, TrialConfig
 
@@ -231,26 +234,39 @@ def run_synthetic_campaign(
     """Campaign with the geometry layer bypassed: per-attempt, per-direction
     successes are independent Bernoulli draws at the given probabilities.
     Used by success-probability sweeps that treat (rho_u, rho_d) as free
-    parameters."""
+    parameters.
+
+    Trial ``it`` draws from its own stream, ``default_rng([seed, it,
+    0x5E7])``: attempt k passes UL if its (2k-1)-th uniform is below rho_u
+    and DL if its 2k-th is below rho_d, and the trial ends at the first
+    attempt that passes both, or censored at max_attempts.  The uniforms are
+    read in blocks sized so that about 99% of trials end in their first;
+    those read past a trial's last attempt are never used.  Latencies come
+    from one campaign stream.  At most 2**32 trials."""
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
     dl_first = np.zeros(iterations, dtype=bool)
+    words = seed_words(seed, 0, 0x5E7)  # words[-2] holds the trial index
+    # attempts per block: 5 mean attempts, at most 1024
+    p = rho_u * rho_d
+    block = min(max_attempts, 1024 if p < 5 / 1024 else math.ceil(5 / p))
     for it in range(iterations):
-        rng = np.random.default_rng([seed, it, 0x5E7])
-        k = 0
-        success = False
+        words[-2] = it
+        rng = np.random.default_rng(words)
+        k = 0  # attempts read
         while k < max_attempts:
-            k += 1
-            ul_ok = rng.uniform() < rho_u
-            dl_ok = rng.uniform() < rho_d
-            if k == 1:
-                ul_first[it], dl_first[it] = ul_ok, dl_ok
-            if ul_ok and dl_ok:
-                success = True
+            m = min(block, max_attempts - k)
+            u = rng.random(2 * m).tolist()
+            if k == 0:
+                ul_first[it], dl_first[it] = u[0] < rho_u, u[1] < rho_d
+            hit = next((j for j in range(0, 2 * m, 2) if u[j] < rho_u and u[j + 1] < rho_d), -1)
+            if hit >= 0:
+                attempts[it] = k + hit // 2 + 1
                 break
-        attempts[it] = k
-        censored[it] = not success
+            k += m
+        else:
+            attempts[it], censored[it] = max_attempts, True
     return LatencyStats(
         samples=latency_samples(timing, scheme, attempts, _campaign_rng(seed, 0x5E7)),
         attempts=attempts,

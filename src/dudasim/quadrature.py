@@ -18,8 +18,11 @@ import math
 import warnings
 from typing import Callable
 
+# relative tolerance only: given an absolute one of 1e-12 as well, QUADPACK
+# exhausts its subdivisions on some UL probabilities of 1e-6 and less that it
+# resolves with the relative one alone
 REL_TOL = 1e-8
-ABS_TOL = 1e-12
+ABS_TOL = 0.0
 MAX_SUBDIVISIONS = 200
 
 
@@ -44,10 +47,12 @@ class QuadratureConvergenceError(RuntimeError):
         self.error = error
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float) -> float:
+def integrate_finite(
+    f: Callable[[float], float], a: float, b: float, name: str = "finite integral"
+) -> float:
     """Adaptive integral of f over [a, b]; raises QuadratureConvergenceError,
-    with the best value and its error estimate, if MAX_SUBDIVISIONS is
-    exhausted before the tolerances are met."""
+    naming the integral and carrying the best value and its error estimate,
+    if MAX_SUBDIVISIONS is exhausted before the tolerance is met."""
     # imported here: most entry points never integrate, and the import is slow
     from scipy.integrate import IntegrationWarning, quad
 
@@ -56,7 +61,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float) -> float:
         out = quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,
                    limit=MAX_SUBDIVISIONS, full_output=1)
     if len(out) > 3:  # an explanation message is appended on failure
-        msg = "finite integral did not converge within MAX_SUBDIVISIONS"
+        msg = f"{name} did not converge within {MAX_SUBDIVISIONS} subdivisions"
         raise QuadratureConvergenceError(msg, out[0], out[1])
     return out[0]
 

@@ -192,3 +192,70 @@ def reference_uniform_in_groups(
         out[uniq[fill]] = cand[first[fill]]
         missing[uniq] = False
     return out
+
+
+def reference_synthetic_campaign(
+    rho_u: float, rho_d: float, timing, scheme: str,
+    iterations: int, seed: int, max_attempts: int = 1000,
+):
+    """The per-attempt synthetic campaign that predates the block-reading
+    one, kept as its reference: each trial builds ``default_rng([seed, it,
+    0x5E7])`` and draws two scalar uniforms (UL, then DL) per attempt until
+    both pass or max_attempts is reached.  Returns a LatencyStats."""
+    from dudasim.montecarlo import LatencyStats, latency_samples
+
+    attempts = np.zeros(iterations, dtype=np.int64)
+    censored = np.zeros(iterations, dtype=bool)
+    ul_first = np.zeros(iterations, dtype=bool)
+    dl_first = np.zeros(iterations, dtype=bool)
+    for it in range(iterations):
+        rng = np.random.default_rng([seed, it, 0x5E7])
+        k = 0
+        success = False
+        while k < max_attempts:
+            k += 1
+            ul_ok = rng.uniform() < rho_u
+            dl_ok = rng.uniform() < rho_d
+            if k == 1:
+                ul_first[it], dl_first[it] = ul_ok, dl_ok
+            if ul_ok and dl_ok:
+                success = True
+                break
+        attempts[it] = k
+        censored[it] = not success
+    latency_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5E7,)))
+    return LatencyStats(
+        samples=latency_samples(timing, scheme, attempts, latency_rng),
+        attempts=attempts,
+        censored=censored,
+        empirical_rho_u=float(ul_first.mean()),
+        empirical_rho_d=float(dl_first.mean()),
+        resample_count=0,
+        scheme=scheme,
+    )
+
+
+def oracle_rho_u(alpha: float, beta_u_db: float, delta: float, kappa: float) -> float:
+    """UL success probability, noise off, by mpmath at 30 digits and
+    independently of dudasim's quadrature: the double integral of
+    ``perfbench/make_refs.py`` with the DL fraction delta and the power
+    ratio kappa = p_b/p_m as parameters.  In u = pi lambda r^2 (serving
+    distance) and v = pi lambda t^2 (partner distance), with the
+    interference tail in its 2F1 closed form and tanh-sinh quadrature to
+    infinity in both.  About a minute per value near alpha = 2."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, delta = mp.mpf(repr(alpha)), mp.mpf(repr(delta))
+        beta, kappa = mp.power(10, mp.mpf(repr(beta_u_db)) / 10), mp.mpf(repr(kappa))
+        b = 1 - 2 / a
+        k_ue = (1 - delta) * beta * mp.hyp2f1(1, b, 1 + b, -beta) / (a - 2)
+
+        def inner(u):
+            def g(v):
+                z = kappa * beta * mp.power(u / v, a / 2)
+                return v * mp.exp(-v - delta * z * v * mp.hyp2f1(1, b, 1 + b, -z) / (a - 2))
+
+            return mp.quad(g, [0, mp.inf])
+
+        return float(mp.quad(lambda u: mp.exp(-(1 + k_ue) * u) * inner(u), [0, mp.inf]))

@@ -19,6 +19,7 @@ from helpers import (
     field_log_products,
     mc_mean_and_se,
     nearest_distance_pdf,
+    oracle_rho_u,
     sample_nearest_distance,
     sample_second_nearest_distance,
     second_nearest_distance_pdf,
@@ -359,9 +360,9 @@ class TestNoise:
         calls = []
         real = coverage.integrate_finite
 
-        def counted(f, a, b):
+        def counted(f, a, b, name):
             calls.append((a, b))
-            return real(f, a, b)
+            return real(f, a, b, name)
 
         monkeypatch.setattr(coverage, "integrate_finite", counted)
         ul_success_probability(TABLE)
@@ -420,3 +421,29 @@ class TestHighPrecisionOracle:
         got_d = dl_success_probability(replace(TABLE, alpha=alpha))
         assert math.isfinite(got_d)
         assert got_d == pytest.approx(self.RHO_D[alpha], rel=1e-10, abs=0.0)
+
+
+class TestOracleAtQuadratureCorners:
+    """UL configurations where QUADPACK exhausts its subdivisions if it is
+    also given an absolute tolerance of 1e-12, and converges with a relative
+    one only.  The values are 30-digit mpmath results of
+    ``helpers.oracle_rho_u`` (alpha, beta_u_db, delta, kappa), copied here
+    because each takes up to a minute; a slow test recomputes one.  The
+    standard table holds otherwise; p_m_dbm = -30 makes kappa 1e7."""
+
+    @pytest.mark.parametrize("alpha, beta_u_db, delta, p_m_dbm, want", [
+        (2.0001, 0.0, 0.999999999, 20.0, 1.0006899908726924766e-6),
+        (2.05, 20.0, 0.01, -30.0, 8.337339959007502698e-9),
+        (4.0, 80.0, 0.99, -30.0, 6.7818318310360384798e-8),
+    ])
+    def test_ul(self, alpha, beta_u_db, delta, p_m_dbm, want):
+        p = replace(TABLE, alpha=alpha, beta_u=db_to_linear(beta_u_db), delta=delta,
+                    p_m=dbm_to_watts(p_m_dbm))
+        assert ul_success_probability(p) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.slow
+    def test_copied_value_is_the_oracle(self):
+        pytest.importorskip("mpmath")
+        # the fastest of the three, about 30 s
+        got = oracle_rho_u(4.0, 80.0, 0.99, 1e7)
+        assert got == pytest.approx(6.7818318310360384798e-8, rel=1e-12, abs=0.0)

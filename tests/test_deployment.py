@@ -13,6 +13,7 @@ from dudasim.deployment import (
     generate_deployment,
     pair_bs,
     sample_ppp,
+    seed_words,
     snapshot_csv,
     _uniform_in_groups,
 )
@@ -21,6 +22,22 @@ from helpers import brute_force_delaunay_edges, reference_pair_bs, reference_uni
 
 LAMBDA = 0.005
 HALF = 75.0
+
+
+class TestSeedWords:
+    # seeds and ids on both sides of each 32-bit word boundary pin the
+    # coercion into the fewest little-endian uint32 words
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**70])
+    @pytest.mark.parametrize("ident", [0, 2**32 - 1, 2**32])
+    def test_matches_default_rng_of_the_list(self, seed, ident):
+        for ids in ((ident,), (ident, 0x5E7)):
+            want = np.random.default_rng([seed, *ids]).bit_generator.state
+            assert np.random.default_rng(seed_words(seed, *ids)).bit_generator.state == want
+            assert RngStream(seed, ids[0]).generator(*ids[1:]).bit_generator.state == want
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            seed_words(1, -1)
 
 
 def neighbours(indptr, indices, i):

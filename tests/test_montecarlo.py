@@ -19,6 +19,8 @@ from dudasim.montecarlo import (
 )
 from dudasim.params import LinkSuccess, SlotTiming, SystemParams
 
+from helpers import reference_synthetic_campaign
+
 TABLE = SystemParams()
 QUIET = replace(TABLE, noise_power=0.0)
 
@@ -496,6 +498,40 @@ class TestSyntheticCampaign:
         se = float(np.std(st.samples, ddof=1)) / math.sqrt(20000)
         # true probabilities are known here, no plug-in noise
         assert abs(st.mean - latency_duca(timing, link).total) < 3.5 * se
+
+
+class TestSyntheticMatchesReference:
+    """The block-reading campaign against the per-attempt loop it replaced."""
+
+    @staticmethod
+    def _assert_same(rho_u, rho_d, scheme, iterations, seed, max_attempts):
+        args = (rho_u, rho_d, SlotTiming(), scheme, iterations, seed, max_attempts)
+        got, want = run_synthetic_campaign(*args), reference_synthetic_campaign(*args)
+        assert np.array_equal(got.attempts, want.attempts)
+        assert np.array_equal(got.censored, want.censored)
+        assert got.empirical_rho_u == want.empirical_rho_u
+        assert got.empirical_rho_d == want.empirical_rho_d
+        assert np.array_equal(got.samples, want.samples)
+        return want
+
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    @pytest.mark.parametrize("max_attempts", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("rho_product", [1e-5, 0.3, 0.55, 1.0])
+    def test_grid(self, rho_product, max_attempts, scheme):
+        rho = math.sqrt(rho_product)
+        iterations = 60 if rho_product < 0.01 and max_attempts > 100 else 400
+        self._assert_same(rho, rho, scheme, iterations, 29, max_attempts)
+
+    def test_trials_spanning_several_blocks(self):
+        # blocks of 1024 attempts, the third cut to 452 by max_attempts
+        want = self._assert_same(0.02, 0.005, "duda", 60, 2**40 + 3, 2500)
+        ended = want.attempts[~want.censored]
+        assert (ended > 1024).any() and (ended > 2048).any() and want.censored.any()
+
+    def test_unequal_rhos_with_long_tails(self):
+        # blocks of 16 attempts (5 mean attempts at rho_u*rho_d = 0.315)
+        want = self._assert_same(0.9, 0.35, "duca", 3000, 31, 1000)
+        assert (want.attempts > 16).any()
 
 
 class TestCsvSink:

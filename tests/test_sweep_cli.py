@@ -280,6 +280,21 @@ class TestCli:
         assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.5" in err
         assert "cap of 500 resamples (10x iterations) ran out" in err
 
+    @pytest.mark.parametrize("command", ["analytic", "validate"])
+    @pytest.mark.parametrize("setting", [
+        "noise = on\np_m_dbm = -30\nnoise_dbm = 30",
+        "alpha = 2.05\ndelta = 0.999999999\nbeta_u_db = 20",
+    ], ids=["noise_on", "alpha_2.05"])
+    def test_unconverged_quadrature_exits_2(self, tmp_path: Path, capsys, command, setting):
+        # the UL integral exhausts QUADPACK's subdivisions at these corners
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"iterations = 20\n{setting}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: UL success probability integral did not converge "
+            "within 200 subdivisions (value="
+        )
+
     def test_sweep_with_every_row_failed_exits_2(self, tmp_path: Path, capsys):
         # the CSV still carries every row as NaNs, with a warning per row
         cfg = tmp_path / "a.cfg"
