@@ -167,6 +167,8 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     window_side, seed = get("window_side", 150.0), get("seed", 0)
     for key, bad, rule in (
         ("iterations", iterations < 1, "at least 1"),
+        # a synthetic campaign's trial index is one 32-bit entropy word
+        ("iterations", iterations > 2**32, "at most 2**32"),
         ("max_attempts", max_attempts < 1, "at least 1"),
         ("window_side", not window_side > 0, "positive"),
         ("seed", seed < 0, "non-negative"),

@@ -47,6 +47,7 @@ quantitatively.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -227,6 +228,69 @@ def run_campaign(config: TrialConfig) -> LatencyStats:
     )
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_BLOCK = 4096  # trials whose stream seeds are hashed at once
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of an
+    (n, w) uint32 entropy array, one column of n words at a time: numpy's
+    pool hashing, mixing and state generation in uint32 arithmetic."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & 0xFFFFFFFF
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    n, w = words.shape
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < w else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, w):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    state = np.empty((n, 8), dtype=np.uint32)
+    h = _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & 0xFFFFFFFF
+        v = v * h
+        state[:, i] = v ^ (v >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _row_seed():
+    """An ISeedSequence that hands PCG64 one precomputed state row.  Made on
+    first use, so importing the package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        __slots__ = ("row",)
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a precomputed seed row serves only (4, uint64)")
+            return self.row
+
+    return RowSeed
+
+
 def run_synthetic_campaign(
     rho_u: float, rho_d: float, timing: SlotTiming, scheme: str,
     iterations: int, seed: int, max_attempts: int = 1000,
@@ -239,34 +303,42 @@ def run_synthetic_campaign(
     Trial ``it`` draws from its own stream, ``default_rng([seed, it,
     0x5E7])``: attempt k passes UL if its (2k-1)-th uniform is below rho_u
     and DL if its 2k-th is below rho_d, and the trial ends at the first
-    attempt that passes both, or censored at max_attempts.  The uniforms are
-    read in blocks sized so that about 99% of trials end in their first;
-    those read past a trial's last attempt are never used.  Latencies come
-    from one campaign stream.  At most 2**32 trials."""
+    attempt that passes both, or censored at max_attempts.  The streams'
+    SeedSequence states are hashed for blocks of trials at once, and numpy's
+    PCG64 takes each trial's row.  The uniforms are read in blocks sized so
+    that about 99% of trials end in their first; those read past a trial's
+    last attempt are never used.  Latencies come from one campaign stream.
+    At most 2**32 trials, so that the trial index is one entropy word."""
+    if iterations > 2**32:
+        raise ValueError(f"a synthetic campaign takes at most 2**32 trials, got {iterations}")
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
     dl_first = np.zeros(iterations, dtype=bool)
-    words = seed_words(seed, 0, 0x5E7)  # words[-2] holds the trial index
+    row_seed, generator, pcg64 = _row_seed(), np.random.Generator, np.random.PCG64
+    base = seed_words(seed, 0, 0x5E7)  # base[-2] holds the trial index
     # attempts per block: 5 mean attempts, at most 1024
     p = rho_u * rho_d
     block = min(max_attempts, 1024 if p < 5 / 1024 else math.ceil(5 / p))
-    for it in range(iterations):
-        words[-2] = it
-        rng = np.random.default_rng(words)
-        k = 0  # attempts read
-        while k < max_attempts:
-            m = min(block, max_attempts - k)
-            u = rng.random(2 * m).tolist()
-            if k == 0:
-                ul_first[it], dl_first[it] = u[0] < rho_u, u[1] < rho_d
-            hit = next((j for j in range(0, 2 * m, 2) if u[j] < rho_u and u[j + 1] < rho_d), -1)
-            if hit >= 0:
-                attempts[it] = k + hit // 2 + 1
-                break
-            k += m
-        else:
-            attempts[it], censored[it] = max_attempts, True
+    for first in range(0, iterations, _SEED_BLOCK):
+        ids = range(first, min(first + _SEED_BLOCK, iterations))
+        words = np.tile(base, (len(ids), 1))
+        words[:, -2] = ids
+        for it, state in zip(ids, _seed_states(words)):
+            rng = generator(pcg64(row_seed(state)))
+            k = 0  # attempts read
+            while k < max_attempts:
+                m = min(block, max_attempts - k)
+                u = rng.random(2 * m).tolist()
+                if k == 0:
+                    ul_first[it], dl_first[it] = u[0] < rho_u, u[1] < rho_d
+                hit = next((j for j in range(0, 2 * m, 2) if u[j] < rho_u and u[j + 1] < rho_d), -1)
+                if hit >= 0:
+                    attempts[it] = k + hit // 2 + 1
+                    break
+                k += m
+            else:
+                attempts[it], censored[it] = max_attempts, True
     return LatencyStats(
         samples=latency_samples(timing, scheme, attempts, _campaign_rng(seed, 0x5E7)),
         attempts=attempts,

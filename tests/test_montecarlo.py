@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dudasim import montecarlo
-from dudasim.deployment import Deployment, RngStream, generate_deployment
+from dudasim.deployment import Deployment, RngStream, generate_deployment, seed_words
 from dudasim.latency import latency_duca, latency_duda
 from dudasim.montecarlo import (
     TrialConfig,
@@ -532,6 +532,59 @@ class TestSyntheticMatchesReference:
         # blocks of 16 attempts (5 mean attempts at rho_u*rho_d = 0.315)
         want = self._assert_same(0.9, 0.35, "duca", 3000, 31, 1000)
         assert (want.attempts > 16).any()
+
+
+class TestSeedHash:
+    """The block hash of the trials' SeedSequence states and its hand-off."""
+
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**70, 2**100 + 5]  # 3 to 6 entropy words
+    IDS = [0, 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_match_seed_sequence(self, seed):
+        words = np.tile(seed_words(seed, 0, 0x5E7), (len(self.IDS), 1))
+        words[:, -2] = self.IDS
+        states = montecarlo._seed_states(words)
+        assert states.dtype == np.uint64 and states.shape == (len(self.IDS), 4)
+        for row, state in zip(words, states):
+            want = np.random.SeedSequence(row).generate_state(4, np.uint64)
+            assert np.array_equal(state, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_campaign_trial_generators(self, seed, monkeypatch):
+        # every Generator the campaign builds, before it draws
+        seen, real = [], np.random.Generator
+
+        def spy(bit_generator):
+            seen.append(bit_generator.state)
+            return real(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", spy)
+        run_synthetic_campaign(0.5, 0.5, SlotTiming(), "duda", 3, seed, 10)
+        monkeypatch.undo()
+        assert seen == [np.random.default_rng([seed, it, 0x5E7]).bit_generator.state
+                        for it in range(3)]
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_row_seed_serves_only_pcg64(self, n_words, dtype):
+        seq = montecarlo._row_seed()(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"only \(4, uint64\)"):
+            seq.generate_state(n_words, dtype)
+
+    def test_campaign_across_hash_blocks(self, monkeypatch):
+        # blocks of 3 trials: 7 trials span two full blocks and a short one
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 3)
+        args = (0.6, 0.45, SlotTiming(), "duca", 7, 2**33 + 1, 50)
+        got, want = run_synthetic_campaign(*args), reference_synthetic_campaign(*args)
+        assert np.array_equal(got.attempts, want.attempts)
+        assert np.array_equal(got.samples, want.samples)
+        assert (got.empirical_rho_u, got.empirical_rho_d) == (
+            want.empirical_rho_u, want.empirical_rho_d)
+
+    def test_more_than_2_32_trials_rejected_before_allocation(self):
+        # the trial index is one entropy word; past it streams would repeat
+        with pytest.raises(ValueError, match=r"at most 2\*\*32 trials, got 4294967297"):
+            run_synthetic_campaign(0.5, 0.5, SlotTiming(), "duda", 2**32 + 1, seed=0)
 
 
 class TestCsvSink:

@@ -138,6 +138,16 @@ class TestColdStart:
         )
         assert loaded.split() == []
 
+    def test_import_and_parse_load_no_numpy_random(self):
+        # numpy.random costs about 14 ms of CPU to import; only campaigns,
+        # sweeps and snapshots draw random numbers
+        loaded = fresh_interpreter(
+            "import sys, dudasim\n"
+            "dudasim.parse_config('alpha = 3.5\\nseed = 4\\n')\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        )
+        assert loaded.split() == []
+
     def test_first_and_second_tail_calls_agree(self):
         # the first call imports hyp2f1 and rebinds the module global to the
         # ufunc, so the second (and every later) call skips the import

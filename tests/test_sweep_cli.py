@@ -241,6 +241,15 @@ class TestCli:
         line = "line 2: " if setting else ""  # a flag has no line
         assert err.startswith(f"configuration error: {line}{key} must be ")
 
+    @pytest.mark.parametrize("setting", ["", "rho_u = 0.5\nrho_d = 0.5"])
+    def test_more_than_2_32_iterations_exit_2(self, tmp_path: Path, capsys, setting):
+        # a synthetic campaign's trial index is one 32-bit entropy word
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"iterations = {2**32 + 1}\n{setting}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: line 1: iterations must be at most 2**32\n")
+
     @pytest.mark.parametrize("command, flags, setting, message", [
         ("analytic", (), "alpha = inf", "line 2: alpha must be finite"),
         ("analytic", (), "p_b_dbm = inf", "line 2: p_b_dbm must be finite"),

@@ -13,9 +13,10 @@ the next.  Both sides run the change's ``perfbench/``, so the benchmark
 code is identical.
 
 The output file holds, per workload and side, the median and quartiles of
-every end-to-end metric, every run's values, the pairs in which the change
-read better, attempted and failed rows and the ``correct`` verdicts, plus
-the seeds, the line count of each side's ``src/`` and the environment.
+every end-to-end metric, every run's values and attempted rows, the pairs in
+which the change read better, attempted and failed rows in all and the
+``correct`` verdicts, plus the seeds, the line count of each side's ``src/``
+and the environment.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
 def summarize(runs: list) -> dict:
     out = {"correct": all(r["correct"] for r in runs),
            "attempted": sum(r["attempted"] for r in runs),
-           "failed": sum(r["failed"] for r in runs), "metrics": {}}
+           "failed": sum(r["failed"] for r in runs),
+           # in the order of each metric's runs: peak_rss_mb grows with rows
+           "attempted_runs": [r["attempted"] for r in runs], "metrics": {}}
     for name in END_TO_END:
         values = [r["metrics"][name]["value"] for r in runs]
         q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
