@@ -22,13 +22,12 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .config import ConfigBundle, ConfigError, parse_config
-from .coverage import dl_success_probability, ul_success_probability
 from .deployment import NoRealizationError, RngStream, generate_deployment, snapshot_csv
-from .latency import latency_duca, latency_duda
 from .montecarlo import samples_csv
-from .params import LinkSuccess
 from .quadrature import QuadratureConvergenceError
-from .sweep import SweepRow, rows_to_csv, run_sweep, simulate_campaign, simulate_row
+from .sweep import (
+    analytic_link, closed_form, rows_to_csv, run_sweep, simulate_campaign, simulate_row,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -72,25 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> Dict[str, str]:
-    over: Dict[str, str] = {}
-    if args.seed is not None:
-        over["seed"] = str(args.seed)
-    if args.iterations is not None:
-        over["iterations"] = str(args.iterations)
-    if args.scheme is not None:
-        over["scheme"] = args.scheme
-    if args.mode is not None:
-        over["mode"] = args.mode
-    if args.noise is not None:
-        over["noise"] = args.noise
+    over = {
+        key: str(getattr(args, key))
+        for key in ("seed", "iterations", "scheme", "mode", "noise")
+        if getattr(args, key) is not None
+    }
     if args.sweep is not None:
         parts = args.sweep.split(":")
         if len(parts) != 4:
             raise ConfigError("--sweep expects VAR:START:STOP:STEPS")
-        over["sweep_variable"] = parts[0]
-        over["sweep_start"] = parts[1]
-        over["sweep_stop"] = parts[2]
-        over["sweep_steps"] = parts[3]
+        over.update(zip(("sweep_variable", "sweep_start", "sweep_stop", "sweep_steps"), parts))
     return over
 
 
@@ -101,10 +91,7 @@ def _load_bundle(args: argparse.Namespace) -> ConfigBundle:
             text = args.config.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-    bundle = parse_config(text, _overrides(args))
-    if args.timing:
-        bundle = replace(bundle, emit_timing=True)
-    return bundle
+    return parse_config(text, _overrides(args))
 
 
 def _emit(text: str, out: Optional[Path]) -> None:
@@ -115,15 +102,10 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 
 def _cmd_analytic(args, bundle: ConfigBundle) -> int:
-    link = bundle.forced_link
-    if link is None:
-        link = LinkSuccess(
-            ul_success_probability(bundle.params, include_noise=bundle.include_noise),
-            dl_success_probability(bundle.params, include_noise=bundle.include_noise),
-        )
+    link = bundle.forced_link or analytic_link(bundle.params, bundle.include_noise)
     lines = ["scheme,rho_u,rho_d,protocol,retransmission,fundamental,total"]
     for scheme in bundle.sweep.schemes:
-        b = latency_duda(bundle.timing, link) if scheme == "duda" else latency_duca(bundle.timing, link)
+        b = closed_form(scheme, bundle.timing, link)
         lines.append(
             f"{scheme},{link.rho_u:.9g},{link.rho_d:.9g},"
             f"{b.protocol:.9g},{b.retransmission:.9g},{b.fundamental:.9g},{b.total:.9g}"
@@ -133,26 +115,20 @@ def _cmd_analytic(args, bundle: ConfigBundle) -> int:
 
 
 def _cmd_simulate(args, bundle: ConfigBundle) -> int:
-    rows: List[SweepRow] = []
-    raw_parts: List[str] = []
-    for scheme in bundle.sweep.schemes:
-        stats = simulate_campaign(replace(bundle.trial, scheme=scheme), bundle.forced_link)
-        rows.append(simulate_row("s_u", bundle.timing.s_u, stats))
-        if getattr(args, "samples_out", None) is not None:
-            raw_parts.append(samples_csv(stats))
-    _emit(rows_to_csv(rows, bundle.emit_timing), args.out)
-    if raw_parts and args.samples_out is not None:
-        header, *_ = raw_parts[0].splitlines()
-        body = [header]
-        for part in raw_parts:
-            body.extend(part.splitlines()[1:])
-        args.samples_out.write_text("\n".join(body) + "\n")
+    stats = [
+        simulate_campaign(replace(bundle.trial, scheme=scheme), bundle.forced_link)
+        for scheme in bundle.sweep.schemes
+    ]
+    rows = [simulate_row("s_u", bundle.timing.s_u, st) for st in stats]
+    _emit(rows_to_csv(rows, args.timing), args.out)
+    if args.samples_out is not None:
+        args.samples_out.write_text(samples_csv(*stats))
     return EXIT_OK
 
 
 def _cmd_sweep(args, bundle: ConfigBundle) -> int:
     rows = run_sweep(bundle.sweep, bundle)
-    _emit(rows_to_csv(rows, bundle.emit_timing), args.out)
+    _emit(rows_to_csv(rows, args.timing), args.out)
     # run_sweep warns per failed row and writes it as NaNs; a sweep with no
     # good row at all is a configuration error, as it is for simulate
     if all(math.isnan(r.latency_mean) for r in rows):

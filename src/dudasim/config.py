@@ -1,11 +1,13 @@
 """Configuration parsing: flat key=value documents with '#' comments.
 
-Unspecified keys take the standard parameter-table defaults (densities,
-powers and thresholds in dB/dBm, converted to linear units here at the IO
-boundary; slot timing in slot units; 10^4 iterations; a 150 m square
-observation window).  Values arriving through CLI flags are merged as
-overrides before validation: flags override the file, the file overrides
-defaults.
+Each documented key sets one field of the ``params`` dataclasses
+(``SystemParams``, ``SlotTiming``, ``TrialConfig``), of ``SweepSpec`` or of
+the bundle, converting dB/dBm values to linear units here at the IO
+boundary.  Unset keys keep the defaults those dataclasses declare: the
+standard parameter table, slot timing in slot units, 10^4 iterations and a
+150 m square observation window.  Values arriving through CLI flags are
+merged as overrides before validation: flags override the file, the file
+overrides defaults.
 """
 
 from __future__ import annotations
@@ -52,39 +54,68 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ConfigBundle:
-    params: SystemParams
-    timing: SlotTiming
     trial: TrialConfig
     sweep: SweepSpec
     include_noise: bool = False
-    emit_timing: bool = False
     forced_link: LinkSuccess | None = None  # direct (rho_u, rho_d) override
 
+    @property
+    def params(self) -> SystemParams:
+        return self.trial.params
 
-_FLOAT_KEYS = {
-    "lambda_b", "delta", "alpha", "beta_u_db", "beta_d_db", "p_b_dbm",
-    "p_m_dbm", "noise_dbm", "bandwidth", "t_d", "t_u", "s_u", "s_d", "w",
-    "window_side", "sweep_start", "sweep_stop", "rho_u", "rho_d",
-}
-_INT_KEYS = {"iterations", "max_attempts", "seed", "sweep_steps"}
-_CHOICE_KEYS = {
-    "scheme": ("duda", "duca", "both"),
-    "mode": ("analytic", "simulate", "both"),
-    "noise": ("on", "off"),
-    "typical_mode": ("ul", "dl"),
-    "attempt_model": ("independent", "fixed"),
-    "direction_redraw": ("on", "off"),
-    "sweep_variable": SWEEP_VARIABLES,
-}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | set(_CHOICE_KEYS)
+    @property
+    def timing(self) -> SlotTiming:
+        return self.trial.timing
 
-# config key(s) that set each validated field, for error attribution
-_FIELD_SOURCES = {
-    "lambda_b": "lambda_b", "delta": "delta", "alpha": "alpha",
-    "beta_u": "beta_u_db", "beta_d": "beta_d_db", "p_b": "p_b_dbm",
-    "p_m": "p_m_dbm", "noise_power": "noise_dbm", "bandwidth": "bandwidth",
-    "t_d": "t_d", "t_u": "t_u", "s_u": "s_u", "s_d": "s_d", "w": "w",
+
+_ON_OFF = ("on", "off")
+
+# key: (float, int or its choices; the object and field it sets; the
+# conversion from the document's unit, if any)
+_KEYS = {
+    "lambda_b": (float, "params", "lambda_b", None),
+    "delta": (float, "params", "delta", None),
+    "alpha": (float, "params", "alpha", None),
+    "beta_u_db": (float, "params", "beta_u", db_to_linear),
+    "beta_d_db": (float, "params", "beta_d", db_to_linear),
+    "p_b_dbm": (float, "params", "p_b", dbm_to_watts),
+    "p_m_dbm": (float, "params", "p_m", dbm_to_watts),
+    "noise_dbm": (float, "params", "noise_power", dbm_to_watts),
+    "bandwidth": (float, "params", "bandwidth", None),
+    "t_d": (float, "timing", "t_d", None),
+    "t_u": (float, "timing", "t_u", None),
+    "s_u": (float, "timing", "s_u", None),
+    "s_d": (float, "timing", "s_d", None),
+    "w": (float, "timing", "w", None),
+    "iterations": (int, "trial", "iterations", None),
+    "max_attempts": (int, "trial", "max_attempts", None),
+    "seed": (int, "trial", "seed", None),
+    "window_side": (float, "trial", "window_half_width", lambda side: side / 2.0),
+    "typical_mode": (("ul", "dl"), "trial", "typical_mode", None),
+    "attempt_model": (("independent", "fixed"), "trial", "attempt_model", None),
+    "direction_redraw": (_ON_OFF, "trial", "direction_redraw", lambda v: v == "on"),
+    "scheme": (("duda", "duca", "both"), "sweep", "schemes",
+               lambda v: ("duda", "duca") if v == "both" else (v,)),
+    "mode": (("analytic", "simulate", "both"), "sweep", "mode", None),
+    "sweep_variable": (SWEEP_VARIABLES, "sweep", "variable", None),
+    "sweep_start": (float, "sweep", "start", None),
+    "sweep_stop": (float, "sweep", "stop", None),
+    "sweep_steps": (int, "sweep", "steps", None),
+    "noise": (_ON_OFF, "bundle", "include_noise", lambda v: v == "on"),
+    "rho_u": (float, "link", "rho_u", None),
+    "rho_d": (float, "link", "rho_d", None),
 }
+KNOWN_KEYS = set(_KEYS)
+
+# checked before TrialConfig is built: its own checks carry no line
+_RANGES = (
+    ("iterations", lambda n: n >= 1, "at least 1"),
+    # a synthetic campaign's trial index is one 32-bit entropy word
+    ("iterations", lambda n: n <= 2**32, "at most 2**32"),
+    ("max_attempts", lambda n: n >= 1, "at least 1"),
+    ("window_side", lambda side: side > 0, "positive"),
+    ("seed", lambda n: n >= 0, "non-negative"),
+)
 
 
 def parse_kv(text: str) -> Dict[str, Tuple[str, int]]:
@@ -106,124 +137,65 @@ def parse_kv(text: str) -> Dict[str, Tuple[str, int]]:
 
 
 def _typed(key: str, raw: str, line: int):
-    if key in _FLOAT_KEYS:
+    kind = _KEYS[key][0]
+    if kind is float or kind is int:
         try:
-            value = float(raw)
+            value = kind(raw)
         except ValueError:
             raise ConfigError(f"malformed value for {key!r}: {raw!r}", line) from None
-        if not math.isfinite(value):
+        if kind is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {raw!r}", line)
         return value
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"malformed value for {key!r}: {raw!r}", line) from None
-    choices = _CHOICE_KEYS[key]
-    if raw not in choices:
+    if raw not in kind:
         raise ConfigError(
-            f"invalid value for {key!r}: {raw!r} (choices: {', '.join(choices)})", line
+            f"invalid value for {key!r}: {raw!r} (choices: {', '.join(kind)})", line
         )
     return raw
 
 
 def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     """Materialize a validated configuration bundle from raw key/value pairs."""
-    vals: Dict[str, object] = {}
+    vals = {key: _typed(key, raw, line) for key, (raw, line) in kv.items()}
+    given: Dict[str, Dict[str, object]] = {
+        group: {} for group in ("params", "timing", "trial", "sweep", "bundle", "link")
+    }
     lines: Dict[str, int] = {}
-    for key, (raw, line) in kv.items():
-        vals[key] = _typed(key, raw, line)
-        lines[key] = line
+    for key, value in vals.items():
+        _, group, field, convert = _KEYS[key]
+        given[group][field] = value if convert is None else convert(value)
+        # validate() names the field, the checks below name the key
+        lines[key] = lines[field] = kv[key][1]
 
-    def get(key, default):
-        return vals.get(key, default)
-
-    params = SystemParams(
-        lambda_b=get("lambda_b", 0.005),
-        delta=get("delta", 0.5),
-        alpha=get("alpha", 4.0),
-        beta_u=db_to_linear(get("beta_u_db", 0.0)),
-        beta_d=db_to_linear(get("beta_d_db", -5.0)),
-        p_b=dbm_to_watts(get("p_b_dbm", 40.0)),
-        p_m=dbm_to_watts(get("p_m_dbm", 20.0)),
-        noise_power=dbm_to_watts(get("noise_dbm", -174.0)),
-        bandwidth=get("bandwidth", 1.0),
-    )
-    timing = SlotTiming(
-        t_d=get("t_d", 1.0),
-        t_u=get("t_u", 1.0),
-        s_u=get("s_u", 0.5),
-        s_d=get("s_d", 0.5),
-        w=vals.get("w"),
-    )
+    params = SystemParams(**given["params"])
+    timing = SlotTiming(**given["timing"])
     violations = validate(params, timing)
     if violations:
-        first = violations[0]
-        fld = first.split()[0]
-        key = _FIELD_SOURCES.get(fld, "")
-        raise ConfigError("; ".join(violations), lines.get(key, 0))
+        raise ConfigError("; ".join(violations), lines.get(violations[0].split()[0], 0))
+    for key, ok, rule in _RANGES:
+        if key in vals and not ok(vals[key]):
+            raise ConfigError(f"{key} must be {rule}", lines[key])
 
-    iterations, max_attempts = get("iterations", 10000), get("max_attempts", 1000)
-    window_side, seed = get("window_side", 150.0), get("seed", 0)
-    for key, bad, rule in (
-        ("iterations", iterations < 1, "at least 1"),
-        # a synthetic campaign's trial index is one 32-bit entropy word
-        ("iterations", iterations > 2**32, "at most 2**32"),
-        ("max_attempts", max_attempts < 1, "at least 1"),
-        ("window_side", not window_side > 0, "positive"),
-        ("seed", seed < 0, "non-negative"),
-    ):
-        if bad:
-            raise ConfigError(f"{key} must be {rule}", lines.get(key, 0))
+    sweep = SweepSpec(**given["sweep"])
+    trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
+    # only `dudasim sweep` reads the sweep, and run_sweep checks a default one
+    if any(key.startswith("sweep_") for key in vals):
+        check_sweep(sweep, timing, lines)
 
-    scheme_choice = get("scheme", "both")
-    trial = TrialConfig(
-        params=params,
-        timing=timing,
-        iterations=iterations,
-        max_attempts=max_attempts,
-        scheme="duda" if scheme_choice == "both" else scheme_choice,
-        seed=seed,
-        direction_redraw=get("direction_redraw", "off") == "on",
-        attempt_model=get("attempt_model", "independent"),
-        typical_mode=get("typical_mode", "dl"),
-        window_half_width=window_side / 2.0,
-    )
-
-    schemes = ("duda", "duca") if scheme_choice == "both" else (scheme_choice,)
-    sweep = SweepSpec(
-        variable=get("sweep_variable", "s_u"),
-        start=get("sweep_start", 0.1),
-        stop=get("sweep_stop", 0.9),
-        steps=get("sweep_steps", 9),
-        schemes=schemes,
-        mode=get("mode", "analytic"),
-    )
-    _check_sweep(sweep, timing, lines)
-
+    link = given["link"]
     forced_link = None
-    if ("rho_u" in vals) != ("rho_d" in vals):
-        present = "rho_u" if "rho_u" in vals else "rho_d"
-        raise ConfigError(
-            "rho_u and rho_d must be given together", lines.get(present, 0)
-        )
-    if "rho_u" in vals:
-        forced_link = LinkSuccess(vals["rho_u"], vals["rho_d"])
+    if link:
+        if len(link) == 1:
+            raise ConfigError("rho_u and rho_d must be given together", lines[next(iter(link))])
+        forced_link = LinkSuccess(**link)
         bad = validate_link(forced_link)
         if bad:
-            raise ConfigError("; ".join(bad), lines.get("rho_u", 0))
-
-    return ConfigBundle(
-        params=params,
-        timing=timing,
-        trial=trial,
-        sweep=sweep,
-        include_noise=get("noise", "off") == "on",
-        forced_link=forced_link,
-    )
+            raise ConfigError("; ".join(bad), lines["rho_u"])
+    return ConfigBundle(trial, sweep, forced_link=forced_link, **given["bundle"])
 
 
-def _check_sweep(sweep: SweepSpec, timing: SlotTiming, lines: Dict[str, int]) -> None:
+def check_sweep(sweep: SweepSpec, timing: SlotTiming, lines: Dict[str, int]) -> None:
+    """Raise ConfigError, at the line that set the sweep, for a sweep that
+    leaves its variable's domain."""
     line = lines.get("sweep_variable", lines.get("sweep_start", 0))
     if sweep.variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {sweep.variable!r}", line)

@@ -57,7 +57,12 @@ def n_shot_success(link: LinkSuccess, n: int) -> float:
 
 
 def _protocol_delay_expected(timing: SlotTiming) -> float:
-    """Expected protocol delay of the coupled TDD scheme, in slots."""
+    """Expected protocol delay of the coupled TDD scheme, in slots.
+
+    Under the closed-form convention this mean is itself negative wherever
+    t_u*(t_d - s_u) > t_d*(t_d + 3*s_u), e.g. -0.0833 at t_d 1, t_u 2,
+    s_u 0.1; the total latency stays positive.
+    """
     t_d, t_u, s_u = timing.t_d, timing.t_u, timing.s_u
     return (t_d * t_d + (2.0 * t_d + t_u) * s_u) / (t_d + t_u) - (t_d + s_u) / 2.0
 

@@ -350,10 +350,11 @@ def run_synthetic_campaign(
     )
 
 
-def samples_csv(stats: LatencyStats) -> str:
-    """Raw per-trial samples as CSV (iteration, scheme, attempts, latency,
-    censored)."""
+def samples_csv(*stats: LatencyStats) -> str:
+    """Raw per-trial samples of one or more campaigns as one CSV table
+    (iteration, scheme, attempts, latency, censored)."""
     lines = ["iteration,scheme,attempts,latency,censored"]
-    for it, (a, lat, c) in enumerate(zip(stats.attempts, stats.samples, stats.censored)):
-        lines.append(f"{it},{stats.scheme},{a},{lat:.9g},{int(c)}")
+    for st in stats:
+        for it, (a, lat, c) in enumerate(zip(st.attempts, st.samples, st.censored)):
+            lines.append(f"{it},{st.scheme},{a},{lat:.9g},{int(c)}")
     return "\n".join(lines) + "\n"

@@ -22,11 +22,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ConfigBundle, SweepSpec
+from .config import ConfigBundle, SweepSpec, check_sweep
 from .coverage import dl_success_probability, ul_success_probability
-from .latency import latency_duca, latency_duda
+from .deployment import NoRealizationError
+from .latency import LatencyBreakdown, latency_duca, latency_duda
 from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign
 from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig, db_to_linear
+from .quadrature import QuadratureConvergenceError
 
 
 @dataclass
@@ -100,16 +102,17 @@ def _apply_point(
     raise ValueError(f"unknown sweep variable {spec.variable!r}")
 
 
-def _analytic_row(
-    spec: SweepSpec, value: float, scheme: str,
-    timing: SlotTiming, link: LinkSuccess,
-) -> SweepRow:
-    breakdown = latency_duda(timing, link) if scheme == "duda" else latency_duca(timing, link)
-    return SweepRow(
-        variable=spec.variable, value=value, scheme=scheme, mode="analytic",
-        latency_mean=breakdown.total, latency_ci95=0.0,
-        rho_u=link.rho_u, rho_d=link.rho_d, censored_fraction=0.0,
+def analytic_link(params: SystemParams, include_noise: bool) -> LinkSuccess:
+    """The stochastic-geometry success probabilities of both directions."""
+    return LinkSuccess(
+        ul_success_probability(params, include_noise=include_noise),
+        dl_success_probability(params, include_noise=include_noise),
     )
+
+
+def closed_form(scheme: str, timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
+    """The closed-form latency of one scheme ("duda" or "duca")."""
+    return (latency_duda if scheme == "duda" else latency_duca)(timing, link)
 
 
 def simulate_campaign(trial: TrialConfig, forced: Optional[LinkSuccess]) -> LatencyStats:
@@ -135,41 +138,36 @@ def simulate_row(variable: str, value: float, stats: LatencyStats) -> SweepRow:
 def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
     """Evaluate the sweep; failures are reported per row (a warning goes to
     stderr and the row carries NaNs) without aborting the remaining rows."""
+    check_sweep(spec, bundle.timing, {})
     values = np.linspace(spec.start, spec.stop, spec.steps)
     modes = ("analytic", "simulate") if spec.mode == "both" else (spec.mode,)
     rows: List[SweepRow] = []
-    analytic_cache: dict = {}
+    links: dict = {}  # the success probabilities depend on params only, not timing
     for point, value in enumerate(values):
         value = float(value)
         params, timing, forced = _apply_point(spec, value, bundle.params, bundle.timing)
-        if forced is None and bundle.forced_link is not None:
-            forced = bundle.forced_link
-
-        def analytic_link() -> LinkSuccess:
-            # the success probabilities depend on params only, not timing
-            if forced is not None:
-                return forced
-            key = (params.lambda_b, params.delta, params.alpha, params.beta_u, params.beta_d)
-            if key not in analytic_cache:
-                analytic_cache[key] = LinkSuccess(
-                    ul_success_probability(params, include_noise=bundle.include_noise),
-                    dl_success_probability(params, include_noise=bundle.include_noise),
-                )
-            return analytic_cache[key]
-
+        forced = forced or bundle.forced_link
         for scheme in spec.schemes:
             for mode in modes:
                 t0 = time.perf_counter()
                 try:
                     if mode == "analytic":
-                        row = _analytic_row(spec, value, scheme, timing, analytic_link())
+                        if forced is None and params not in links:
+                            links[params] = analytic_link(params, bundle.include_noise)
+                        link = forced or links[params]
+                        row = SweepRow(
+                            spec.variable, value, scheme, "analytic",
+                            closed_form(scheme, timing, link).total, 0.0,
+                            link.rho_u, link.rho_d, 0.0,
+                        )
                     else:
                         cfg = replace(
                             bundle.trial, params=params, timing=timing, scheme=scheme,
                             seed=_point_seed(bundle.trial.seed, point),
                         )
                         row = simulate_row(spec.variable, value, simulate_campaign(cfg, forced))
-                except Exception as exc:  # propagate per-row, keep sweeping
+                # the failures a valid configuration can still meet at one point
+                except (NoRealizationError, QuadratureConvergenceError, ValueError) as exc:
                     print(
                         f"sweep point {spec.variable}={value:.6g} {scheme}/{mode} failed: {exc}",
                         file=sys.stderr,

@@ -20,17 +20,13 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from .config import ConfigBundle
-from .coverage import (
-    dl_success_probability,
-    nearest_distance_cdf,
-    second_nearest_distance_cdf,
-    ul_success_probability,
-)
+from .coverage import nearest_distance_cdf, second_nearest_distance_cdf
 from .deployment import RngStream, sample_ppp
 from .latency import latency_duca, latency_duda, latency_gap
 from .montecarlo import run_campaign
 from .params import LinkSuccess, SlotTiming
 from .quadrature import interference_tail_integral
+from .sweep import analytic_link, closed_form
 
 
 @dataclass
@@ -116,44 +112,33 @@ def _poisson_chi_square(counts: np.ndarray, mean: float) -> float:
     """Chi-square goodness of fit of observed counts against Poisson(mean),
     with tails pooled so every bin expects at least 5."""
     n = len(counts)
-    lo = int(sps.poisson.ppf(0.001, mean))
-    hi = int(sps.poisson.ppf(0.999, mean))
-    edges = list(range(lo, hi + 1))
-    probs = []
-    obs = []
-    # left tail, interior bins, right tail
-    probs.append(sps.poisson.cdf(lo - 1, mean))
-    obs.append(np.sum(counts < lo))
-    for k in edges:
-        probs.append(sps.poisson.pmf(k, mean))
-        obs.append(np.sum(counts == k))
-    probs.append(sps.poisson.sf(hi, mean))
-    obs.append(np.sum(counts > hi))
-    probs = np.array(probs)
-    obs = np.array(obs, dtype=float)
-    # pool adjacent bins until expected >= 5
-    exp = probs * n
+    lo, hi = (int(sps.poisson.ppf(q, mean)) for q in (0.001, 0.999))
+    # bins: the left tail below lo, one per count from lo to hi, the right tail
+    obs = np.bincount(np.clip(counts, lo - 1, hi + 1) - (lo - 1), minlength=hi - lo + 3)
+    probs = np.concatenate((
+        [sps.poisson.cdf(lo - 1, mean)],
+        sps.poisson.pmf(np.arange(lo, hi + 1), mean),
+        [sps.poisson.sf(hi, mean)],
+    ))
+    # pool adjacent bins until each expects 5; a short remainder joins the last
     pooled_obs, pooled_exp = [], []
     acc_o = acc_e = 0.0
-    for o, e in zip(obs, exp):
-        acc_o += o
-        acc_e += e
+    for o, e in zip(obs, probs * n):
+        acc_o, acc_e = acc_o + o, acc_e + e
         if acc_e >= 5.0:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = acc_e = 0.0
     if acc_e > 0:
-        if pooled_exp:
-            pooled_obs[-1] += acc_o
-            pooled_exp[-1] += acc_e
-        else:
-            pooled_obs.append(acc_o)
-            pooled_exp.append(acc_e)
-    pooled_obs = np.array(pooled_obs)
-    pooled_exp = np.array(pooled_exp) * (n / np.sum(pooled_exp))
-    stat = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
-    dof = len(pooled_obs) - 1
-    return float(sps.chi2.sf(stat, dof))
+        if not pooled_exp:
+            pooled_obs.append(0.0)
+            pooled_exp.append(0.0)
+        pooled_obs[-1] += acc_o
+        pooled_exp[-1] += acc_e
+    obs, expected = np.array(pooled_obs), np.array(pooled_exp)
+    expected *= n / np.sum(expected)
+    stat = float(np.sum((obs - expected) ** 2 / expected))
+    return float(sps.chi2.sf(stat, len(obs) - 1))
 
 
 def spatial_distance_samples(
@@ -214,8 +199,8 @@ def check_gap_identity(n_points: int, seed: int) -> ValidationCheck:
 
 
 def check_analytic_vs_simulation(bundle: ConfigBundle, stats) -> List[ValidationCheck]:
-    rho_u = ul_success_probability(bundle.params, include_noise=bundle.include_noise)
-    rho_d = dl_success_probability(bundle.params, include_noise=bundle.include_noise)
+    link = analytic_link(bundle.params, bundle.include_noise)
+    rho_u, rho_d = link.rho_u, link.rho_d
     du = abs(rho_u - stats.empirical_rho_u)
     dd = abs(rho_d - stats.empirical_rho_d)
 
@@ -240,11 +225,7 @@ def check_self_consistency(bundle: ConfigBundle, campaign_stats: dict) -> List[V
     out = []
     for scheme, stats in campaign_stats.items():
         link = LinkSuccess(stats.empirical_rho_u, stats.empirical_rho_d)
-        form = (
-            latency_duda(bundle.timing, link)
-            if scheme == "duda"
-            else latency_duca(bundle.timing, link)
-        ).total
+        form = closed_form(scheme, bundle.timing, link).total
         se = _consistency_se(stats, bundle.timing, scheme)
         diff = abs(stats.mean - form)
         out.append(

@@ -111,6 +111,19 @@ class TestSimulateSweeps:
             assert duda.latency_mean < duca.latency_mean
 
 
+class TestRowFailures:
+    def test_programming_error_propagates(self, monkeypatch):
+        # only the failures a valid configuration can meet become NaN rows
+        def broken(timing, link):
+            raise TypeError("planted")
+
+        monkeypatch.setattr("dudasim.sweep.latency_duda", broken)
+        bundle = parse_config("sweep_variable = rho_product\nsweep_start = 0.3\n"
+                              "sweep_stop = 1.0\nsweep_steps = 2\nscheme = duda\n")
+        with pytest.raises(TypeError, match="planted"):
+            run_sweep(bundle.sweep, bundle)
+
+
 class TestCsv:
     def test_header_and_digits(self):
         rows, _ = sweep_rows(
@@ -319,6 +332,21 @@ class TestCli:
         assert len(lines) == 5
         assert all(line.startswith("sweep point s_u=") for line in lines[:4])
         assert lines[4] == "configuration error: all 4 sweep rows failed"
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "snapshot"])
+    def test_unread_default_sweep_is_not_checked(self, tmp_path: Path, capsys, command):
+        # the default s_u sweep runs to 0.9, past t_u; only sweep reads it
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("t_u = 0.6\niterations = 20\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_default_sweep_checked_when_swept(self, tmp_path: Path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("t_u = 0.6\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: s_u sweep must stay within (0, t_u]\n")
 
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
