@@ -16,28 +16,31 @@ dep, resamples = generate_deployment(
     scheme="duda", typical_mode="dl",
 )
 
-n = dep.n_bs
+n = len(dep.bs_positions)
+paired = dep.units[:, 0] != dep.units[:, 1]  # an unmatched station's row is (i, i)
+n_pairs = int(paired.sum())
+n_single = len(dep.units) - n_pairs
 print(f"stations:          {n}")
-print(f"cooperating pairs: {len(dep.pairs)}")
-print(f"unmatched:         {len(dep.unpaired)}")
-print(f"matched fraction:  {dep.matched_fraction:.3f}")
+print(f"cooperating pairs: {n_pairs}")
+print(f"unmatched:         {n_single}")
+print(f"matched fraction:  {1.0 - n_single / n:.3f}")
 print(f"resamples needed:  {resamples}")
 
 indptr, _, _ = delaunay_adjacency(dep.bs_positions)
 degrees = np.diff(indptr)
 print(f"mean Delaunay degree: {np.mean(degrees):.2f}")
 
-dl_active = int(dep.pair_active_dl.sum()) + int(dep.unpaired_active_dl.sum())
-total = len(dep.pairs) + len(dep.unpaired)
-print(f"DL-active cells:   {dl_active}/{total}")
+print(f"DL-active cells:   {int(dep.active_dl.sum())}/{len(dep.units)}")
 
-r_ul = np.linalg.norm(dep.bs_positions[dep.typical_ul_bs] - dep.typical_ue)
-r_dl = np.linalg.norm(dep.bs_positions[dep.typical_dl_bs] - dep.typical_ue)
+ul_bs, dl_bs = dep.units[dep.probe]
+ue = dep.ues[dep.probe]
+r_ul = np.linalg.norm(dep.bs_positions[ul_bs] - ue)
+r_dl = np.linalg.norm(dep.bs_positions[dl_bs] - ue)
 print(f"probe UL distance: {r_ul:.2f} m (terminal to its nearest station)")
 print(f"probe DL distance: {r_dl:.2f} m (the pair's far station sends the ACK)")
 
 pair_dists = [
-    np.linalg.norm(dep.bs_positions[i] - dep.bs_positions[j]) for i, j in dep.pairs
+    np.linalg.norm(dep.bs_positions[i] - dep.bs_positions[j]) for i, j in dep.units[paired]
 ]
 print(f"pair separation:   mean {np.mean(pair_dists):.2f} m")
 

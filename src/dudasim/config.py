@@ -81,7 +81,6 @@ _KEYS = {
     "p_b_dbm": (float, "params", "p_b", dbm_to_watts),
     "p_m_dbm": (float, "params", "p_m", dbm_to_watts),
     "noise_dbm": (float, "params", "noise_power", dbm_to_watts),
-    "bandwidth": (float, "params", "bandwidth", None),
     "t_d": (float, "timing", "t_d", None),
     "t_u": (float, "timing", "t_u", None),
     "s_u": (float, "timing", "s_u", None),
@@ -153,6 +152,15 @@ def _typed(key: str, raw: str, line: int):
     return raw
 
 
+def _convert(key: str, value, line: int):
+    """The value of a key in the unit of the field it sets."""
+    convert = _KEYS[key][3]
+    try:
+        return value if convert is None else convert(value)
+    except OverflowError:
+        raise ConfigError(f"{key} = {value!r} overflows a float in linear units", line) from None
+
+
 def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     """Materialize a validated configuration bundle from raw key/value pairs."""
     vals = {key: _typed(key, raw, line) for key, (raw, line) in kv.items()}
@@ -161,8 +169,8 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     }
     lines: Dict[str, int] = {}
     for key, value in vals.items():
-        _, group, field, convert = _KEYS[key]
-        given[group][field] = value if convert is None else convert(value)
+        _, group, field, _ = _KEYS[key]
+        given[group][field] = _convert(key, value, kv[key][1])
         # validate() names the field, the checks below name the key
         lines[key] = lines[field] = kv[key][1]
 
@@ -212,6 +220,11 @@ def check_sweep(sweep: SweepSpec, timing: SlotTiming, lines: Dict[str, int]) -> 
         raise ConfigError("delta sweep must stay within (0, 1)", line)
     if sweep.variable == "lambda_b" and not 0.0 < lo:
         raise ConfigError("lambda_b sweep must be positive", line)
+    if sweep.variable in ("beta_u_db", "beta_d_db"):
+        # the conversion grows with the value: the endpoints bound every point
+        field = _KEYS[sweep.variable][2]
+        if not all(_convert(sweep.variable, end, line) > 0 for end in (lo, hi)):
+            raise ConfigError(f"{sweep.variable} sweep must keep {field} positive", line)
 
 
 def parse_config(text: str, overrides: Dict[str, str] | None = None) -> ConfigBundle:

@@ -4,9 +4,10 @@ One realization of the network is built in stages, mirroring how the
 system operates: base stations drop as a Poisson point process in a square
 window centred on the origin, Voronoi-adjacent stations (Delaunay
 neighbours) are greedily matched into cooperating pairs in random order,
-every interfering pair (and every leftover unmatched station) draws an
-active link direction from the DL traffic ratio delta, and each active
-cell receives one uniformly placed terminal.
+and the stations form a table of units: a pair (ul_bs, dl_bs), in which one
+station receives the UL and its partner sends the DL, or an unmatched
+station (i, i), which does both.  Each unit draws an active link direction
+from the DL traffic ratio delta and receives one uniformly placed terminal.
 
 The probe link is anchored at the origin.  In "dl" typical mode the
 terminal sits at the origin and its nearest BS serves the UL (for the
@@ -17,8 +18,8 @@ placed at a distance drawn from the same nearest-neighbour law, which is
 the distance distribution the analytical model assumes.
 
 The coupled baseline ("duca") reuses the machinery with pairing disabled:
-every BS carries an independent direction and a terminal in its own cell,
-and the probe terminal talks to its nearest BS in both directions.
+every BS is its own unit, with an independent direction and a terminal in
+its own cell, and the probe terminal talks to its nearest BS both ways.
 """
 
 from __future__ import annotations
@@ -73,37 +74,21 @@ class NoRealizationError(RuntimeError):
 class Deployment:
     """One spatial realization plus the probe-link anchoring.
 
-    ``pairs`` rows are (ul_member, dl_member): the member closer to the
-    pair's terminal receives UL, the farther transmits DL.  ``pair_active_dl``
-    is each interfering pair's drawn link direction (ignored for the probe's
-    own pair, which carries the two-way transaction).  ``active_ues`` holds
-    one terminal per pair followed by one per unmatched BS; a deployment
-    built with ``all_terminals=False`` has NaN rows for the DL-active
-    unmatched stations, whose terminals only receive.
+    Row g of ``units`` is (ul_bs, dl_bs): in a pair, the member nearer the
+    unit's terminal ``ues[g]`` receives UL; an unmatched station i is (i, i).
+    Pairs come first, then the unmatched stations.  Row ``probe`` holds the
+    probe's serving stations and terminal, with ``active_dl`` False, as it
+    carries the two-way transaction.  A deployment built with
+    ``all_terminals=False`` has NaN ``ues`` rows for the DL-active unmatched
+    stations, whose terminals only receive.
     """
 
-    window_half_width: float
     bs_positions: np.ndarray              # (N, 2)
-    pairs: np.ndarray                     # (P, 2) int, (ul_member, dl_member)
-    unpaired: np.ndarray                  # (U,) int
-    pair_active_dl: np.ndarray            # (P,) bool
-    unpaired_active_dl: np.ndarray        # (U,) bool
-    active_ues: np.ndarray                # (P + U, 2)
-    scheme: str                           # "duda" | "duca"
-    typical_mode: str                     # "ul" | "dl"
-    typical_ue: np.ndarray                # (2,)
-    typical_ul_bs: int
-    typical_dl_bs: int
-    typical_pair_index: int               # row in pairs; -1 for duca
+    units: np.ndarray                     # (G, 2) int, (ul_bs, dl_bs)
+    active_dl: np.ndarray                 # (G,) bool, the drawn link direction
+    ues: np.ndarray                       # (G, 2)
+    probe: int                            # row of units
     degenerate: bool = False
-
-    @property
-    def n_bs(self) -> int:
-        return len(self.bs_positions)
-
-    @property
-    def matched_fraction(self) -> float:
-        return 1.0 - len(self.unpaired) / max(self.n_bs, 1)
 
 
 def sample_ppp(lam: float, window_half_width: float, gen: np.random.Generator) -> np.ndarray:
@@ -290,7 +275,7 @@ def assign_directions_and_ues(
     With ``all_terminals`` false, only the terminals that the deployment's
     own directions read are placed: one per pair (it orients the pair) and
     one per UL-active unmatched station.  A DL-active unmatched station's
-    row of ``active_ues`` is then NaN.  Directions are drawn before the
+    row of ``ues`` is then NaN.  Directions are drawn before the
     terminals and nothing is drawn after them, so every other array is the
     same as with all terminals placed.
     """
@@ -310,11 +295,10 @@ def assign_directions_and_ues(
     if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
         raise ValueError("stations must be distinct points inside the window")
 
-    # Terminal groups: one per pair, then one per unmatched station.
-    n_pairs = len(pairs)
+    # Units: one per pair, then one per unmatched station.
+    units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
     group_of_bs = np.full(n, -1)
-    group_of_bs[pairs[:, 0]] = group_of_bs[pairs[:, 1]] = np.arange(n_pairs)
-    group_of_bs[unpaired] = np.arange(n_pairs, n_pairs + len(unpaired))
+    group_of_bs[units] = np.arange(len(units))[:, None]
     if (group_of_bs < 0).any():
         raise ValueError("pairs and unpaired must cover every station")
 
@@ -329,55 +313,32 @@ def assign_directions_and_ues(
         theta = gen.uniform(0.0, 2.0 * math.pi)
         typical_ue = points[ul_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
 
-    probe_group = int(group_of_bs[ul_bs])
-    dl_bs = ul_bs
-    if scheme == "duda":
-        if probe_group >= n_pairs:
-            raise TypicalUnpairedError(f"typical BS {ul_bs} is unmatched")
-        a, b = pairs[probe_group]
-        dl_bs = int(b if a == ul_bs else a)
+    probe = int(group_of_bs[ul_bs])
+    if scheme == "duda" and units[probe, 0] == units[probe, 1]:
+        raise TypicalUnpairedError(f"typical BS {ul_bs} is unmatched")
 
-    # Directions.
-    pair_active_dl = gen.uniform(size=n_pairs) < delta
-    unpaired_active_dl = gen.uniform(size=len(unpaired)) < delta
+    active_dl = gen.uniform(size=len(units)) < delta
 
-    # Terminals: one per pair (uniform in the union of the two cells), one
-    # per unmatched station (uniform in its own cell).  The probe's own group
-    # is skipped: its terminal is the probe terminal, set below.  Without
-    # all_terminals, so are the DL-active unmatched stations' groups.
-    need = np.ones(n_pairs + len(unpaired), dtype=bool)
-    if not all_terminals:
-        need[n_pairs:] = ~unpaired_active_dl
-    need[probe_group] = False
-    active_ues = _uniform_in_groups(points, group_of_bs, len(need), window_half_width, gen, need)
+    # Terminals: one per unit, uniform in the union of its stations' cells.
+    # The probe's own unit is skipped: its terminal is the probe terminal,
+    # set below.  Without all_terminals, so are the DL-active unmatched
+    # stations' units.
+    need = all_terminals | ~active_dl | (units[:, 0] != units[:, 1])
+    need[probe] = False
+    ues = _uniform_in_groups(points, group_of_bs, len(units), window_half_width, gen, need)
 
-    # Orient each pair: the member nearer its terminal receives UL.
-    ues = active_ues[:n_pairs]
-    d_first = np.sum((points[pairs[:, 0]] - ues) ** 2, axis=1)
-    d_second = np.sum((points[pairs[:, 1]] - ues) ** 2, axis=1)
-    oriented = np.where((d_second < d_first)[:, None], pairs[:, ::-1], pairs)
-
-    # The probe overrides its own cell, which hosts the probe terminal; in
-    # the decoupled scheme its pair is role-fixed by the serving geometry.
-    active_ues[probe_group] = typical_ue
-    if scheme == "duda":
-        oriented[probe_group] = (ul_bs, dl_bs)
-        pair_active_dl[probe_group] = False
-
+    # Orient each unit: the member nearer its terminal receives UL, except
+    # in the probe's unit, where the serving station does.  A row (i, i)
+    # cannot flip, so a deployment without pairs skips this.
+    if len(pairs):
+        d2 = ((points[units] - ues[:, None]) ** 2).sum(axis=2)
+        flip = d2[:, 1] < d2[:, 0]
+        flip[probe] = units[probe, 1] == ul_bs
+        units[flip] = units[flip, ::-1]
+    ues[probe] = typical_ue
+    active_dl[probe] = False
     return Deployment(
-        window_half_width=window_half_width,
-        bs_positions=points,
-        pairs=oriented,
-        unpaired=unpaired,
-        pair_active_dl=pair_active_dl,
-        unpaired_active_dl=unpaired_active_dl,
-        active_ues=active_ues,
-        scheme=scheme,
-        typical_mode=typical_mode,
-        typical_ue=typical_ue,
-        typical_ul_bs=ul_bs,
-        typical_dl_bs=dl_bs,
-        typical_pair_index=probe_group if scheme == "duda" else -1,
+        bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe,
         degenerate=degenerate,
     )
 
@@ -439,28 +400,21 @@ def generate_deployment(
 
 
 def snapshot_csv(dep: Deployment) -> str:
-    """Deployment snapshot as CSV text with columns x, y, role, pair_id."""
+    """Deployment snapshot as CSV text with columns x, y, role, pair_id:
+    unit by unit, its stations (UL, then DL) and then its terminal.  A
+    pair's rows carry its unit row as pair_id, an unmatched station's -1."""
     lines = ["x,y,role,pair_id"]
 
     def add(pos, role, pid):
         lines.append(f"{pos[0]:.9g},{pos[1]:.9g},{role},{pid}")
 
-    for g, (i, j) in enumerate(dep.pairs):
-        if g == dep.typical_pair_index:
-            add(dep.bs_positions[i], "bs_typical_ul", g)
-            add(dep.bs_positions[j], "bs_typical_dl", g)
-            add(dep.active_ues[g], "ue_typical", g)
+    for g, (i, j) in enumerate(dep.units.tolist()):
+        tag = "_typical" if g == dep.probe else ""
+        pid = g if i != j else -1
+        if i != j:
+            add(dep.bs_positions[i], f"bs{tag}_ul", pid)
+            add(dep.bs_positions[j], f"bs{tag}_dl", pid)
         else:
-            add(dep.bs_positions[i], "bs_ul", g)
-            add(dep.bs_positions[j], "bs_dl", g)
-            add(dep.active_ues[g], "ue", g)
-    for k, i in enumerate(dep.unpaired):
-        g = len(dep.pairs) + k
-        role = "bs_unpaired"
-        if dep.scheme == "duca" and i == dep.typical_ul_bs:
-            add(dep.bs_positions[i], "bs_typical_ul", -1)
-            add(dep.active_ues[g], "ue_typical", -1)
-            continue
-        add(dep.bs_positions[i], role, -1)
-        add(dep.active_ues[g], "ue", -1)
+            add(dep.bs_positions[i], "bs_typical_ul" if tag else "bs_unpaired", pid)
+        add(dep.ues[g], f"ue{tag}", pid)
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .params import LinkSuccess, SlotTiming
 
@@ -108,18 +108,15 @@ def latency_duca(timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
     )
 
 
-def latency_duda(timing: SlotTiming, link: LinkSuccess, w: float | None = None) -> LatencyBreakdown:
+def latency_duda(timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
     """Expected two-way latency of the decoupled scheme (cooperating BS pair).
 
     The UE may transmit immediately (no protocol delay); a failed attempt
-    costs the data size plus the ACK wait ``w`` (defaults to ``timing.w``,
-    itself defaulting to t_d).
+    costs the data size plus the ACK wait ``timing.w`` (defaults to t_d).
     """
-    if w is None:
-        w = timing.w
     return LatencyBreakdown(
         protocol=0.0,
-        retransmission=_retransmission_delay(link, timing.s_u + w),
+        retransmission=_retransmission_delay(link, timing.s_u + timing.w),
         fundamental=timing.s_u + timing.s_d,
     )
 
@@ -137,5 +134,5 @@ def latency_gap(timing: SlotTiming, link: LinkSuccess) -> float:
             raise ValueError("rho_u * rho_d must be positive")
         return (timing.t_u - timing.s_u) / p + timing.s_u
     duca = latency_duca(timing, link)
-    duda = latency_duda(timing, link, w=timing.t_d)
+    duda = latency_duda(replace(timing, w=timing.t_d), link)
     return duca.total - duda.total

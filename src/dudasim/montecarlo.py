@@ -102,14 +102,10 @@ def success_probabilities(
     passes both: p_ul * p_dl, or with direction_redraw the product over
     units of the shared-direction mixture (see the module docstring).
     """
-    n_pairs = len(dep.pairs)
-    keep = np.ones(n_pairs + len(dep.unpaired), dtype=bool)
-    keep[:n_pairs] = np.arange(n_pairs) != dep.typical_pair_index
-    if dep.scheme == "duca":
-        keep[n_pairs:] = dep.unpaired != dep.typical_ul_bs
-    tx_bs = dep.bs_positions[np.concatenate([dep.pairs[:, 1], dep.unpaired])[keep]]
-    tx_ue = dep.active_ues[keep]
-    active = np.concatenate([dep.pair_active_dl, dep.unpaired_active_dl])[keep]
+    keep = np.arange(len(dep.units)) != dep.probe
+    tx_bs = dep.bs_positions[dep.units[:, 1][keep]]
+    tx_ue = dep.ues[keep]
+    active = dep.active_dl[keep]
 
     def log_pass(rx: np.ndarray, tx: np.ndarray, tx_power: float, beta: float):
         """Noise term and per-unit log pass factors, -log1p(beta*c/S), with
@@ -119,11 +115,10 @@ def success_probabilities(
         ue = -np.log1p(b * params.p_m * np.linalg.norm(tx_ue - rx, axis=1) ** (-params.alpha))
         return -b * params.noise_power, bs, ue
 
-    rx_ul = dep.bs_positions[dep.typical_ul_bs]
-    noise_ul, bs_ul, ue_ul = log_pass(rx_ul, dep.typical_ue, params.p_m, params.beta_u)
-    noise_dl, bs_dl, ue_dl = log_pass(
-        dep.typical_ue, dep.bs_positions[dep.typical_dl_bs], params.p_b, params.beta_d
-    )
+    rx_ul, tx_dl = dep.bs_positions[dep.units[dep.probe]]
+    ue = dep.ues[dep.probe]
+    noise_ul, bs_ul, ue_ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
+    noise_dl, bs_dl, ue_dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
     p_ul = float(np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum()))
     p_dl = float(np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum()))
     if not direction_redraw:

@@ -5,9 +5,10 @@ dB and dBm values are converted at the IO boundary only.  Time is measured
 in abstract slot units with both slot durations defaulting to 1.
 
 Note on symbols: the standard parameter table uses ``W`` both for the system
-bandwidth (1 Hz, so that the noise power equals the -174 dBm/Hz spectral
-density) and for the ACK waiting time of the decoupled scheme.  Here they
-are kept apart as ``SystemParams.bandwidth`` and ``SlotTiming.w``.
+bandwidth and for the ACK waiting time of the decoupled scheme.  Only the
+latter is a parameter here, ``SlotTiming.w``: the bandwidth is 1 Hz, so the
+noise power ``SystemParams.noise_power`` equals the -174 dBm/Hz spectral
+density.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ class SystemParams:
     beta_u, beta_d : UL and DL SINR thresholds (linear).
     p_b, p_m : BS and UE transmit powers in watts.
     noise_power : noise power sigma^2 in watts.
-    bandwidth : system bandwidth in Hz (kept at 1 so the noise power
-        equals the noise spectral density).
     """
 
     lambda_b: float = 0.005
@@ -51,7 +50,6 @@ class SystemParams:
     p_b: float = dbm_to_watts(40.0)        # 10 W
     p_m: float = dbm_to_watts(20.0)        # 0.1 W
     noise_power: float = dbm_to_watts(-174.0)
-    bandwidth: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,6 @@ def validate(params: SystemParams, timing: SlotTiming) -> List[str]:
         v.append("p_m must be positive")
     if params.noise_power < 0:
         v.append("noise_power must be non-negative")
-    if not params.bandwidth > 0:
-        v.append("bandwidth must be positive")
 
     if not timing.t_d > 0:
         v.append("t_d must be positive")

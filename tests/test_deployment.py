@@ -251,10 +251,9 @@ class TestAssignDirections:
         dl = total = 0
         for seed in range(150):
             dep = self._deployment(seed)
-            mask = np.ones(len(dep.pairs), dtype=bool)
-            mask[dep.typical_pair_index] = False
-            dl += int(dep.pair_active_dl[mask].sum()) + int(dep.unpaired_active_dl.sum())
-            total += int(mask.sum()) + len(dep.unpaired)
+            mask = np.arange(len(dep.units)) != dep.probe
+            dl += int(dep.active_dl[mask].sum())
+            total += int(mask.sum())
         se = math.sqrt(0.25 / total)
         assert abs(dl / total - 0.5) < 3 * se
 
@@ -266,10 +265,11 @@ class TestAssignDirections:
             pairs, unpaired, pts, 1.0 - 1e-12, RngStream(52).generator(),
             "dl", window_half_width=HALF, lambda_b=LAMBDA,
         )
-        mask = np.ones(len(dep.pairs), dtype=bool)
-        mask[dep.typical_pair_index] = False
-        assert dep.pair_active_dl[mask].all()
-        assert dep.unpaired_active_dl.all()
+        single = dep.units[:, 0] == dep.units[:, 1]
+        mask = np.arange(len(dep.units)) != dep.probe
+        assert dep.active_dl[mask & ~single].all()
+        assert dep.active_dl[single].all()
+        assert not dep.active_dl[dep.probe]
 
     def test_rejects_bad_delta(self):
         pts = sample_ppp(LAMBDA, HALF, RngStream(53).generator())
@@ -302,10 +302,10 @@ class TestAssignDirections:
     def test_pair_orientation_follows_terminal(self):
         for seed in range(40):
             dep = self._deployment(seed)
-            for g, (ul, dl) in enumerate(dep.pairs):
-                if g == dep.typical_pair_index:
+            for g, (ul, dl) in enumerate(dep.units):
+                if g == dep.probe:
                     continue
-                u = dep.active_ues[g]
+                u = dep.ues[g]
                 d_ul = np.linalg.norm(dep.bs_positions[ul] - u)
                 d_dl = np.linalg.norm(dep.bs_positions[dl] - u)
                 assert d_ul <= d_dl
@@ -313,34 +313,29 @@ class TestAssignDirections:
     def test_terminals_inside_their_cells(self):
         dep = self._deployment(60)
         pts = dep.bs_positions
-        for g, (i, j) in enumerate(dep.pairs):
-            if g == dep.typical_pair_index:
+        for g, (i, j) in enumerate(dep.units):
+            if g == dep.probe:
                 continue
-            u = dep.active_ues[g]
+            u = dep.ues[g]
             d2 = np.sum((pts - u) ** 2, axis=1)
+            # an unmatched station's row is (i, i): its own cell
             assert int(np.argmin(d2)) in (i, j)
-        for k, i in enumerate(dep.unpaired):
-            u = dep.active_ues[len(dep.pairs) + k]
-            d2 = np.sum((pts - u) ** 2, axis=1)
-            assert int(np.argmin(d2)) == i
 
     def test_typical_dl_mode_anchoring(self):
         dep = self._deployment(61, typical_mode="dl")
-        assert np.allclose(dep.typical_ue, 0.0)
+        assert np.allclose(dep.ues[dep.probe], 0.0)
         d = np.linalg.norm(dep.bs_positions, axis=1)
-        assert dep.typical_ul_bs == int(np.argmin(d))
-        ul, dl = dep.pairs[dep.typical_pair_index]
-        assert ul == dep.typical_ul_bs and dl == dep.typical_dl_bs
+        ul, dl = dep.units[dep.probe]
+        assert ul == int(np.argmin(d)) and dl != ul
 
     def test_typical_ul_mode_anchoring(self):
         dep = self._deployment(62, typical_mode="ul")
-        assert np.allclose(dep.bs_positions[dep.typical_ul_bs], 0.0)
+        assert np.allclose(dep.bs_positions[dep.units[dep.probe, 0]], 0.0)
 
     def test_duca_mode_no_pairs(self):
         dep = self._deployment(63, scheme="duca")
-        assert len(dep.pairs) == 0
-        assert len(dep.unpaired) == dep.n_bs
-        assert dep.typical_dl_bs == dep.typical_ul_bs
+        assert np.array_equal(dep.units[:, 0], np.arange(len(dep.bs_positions)))
+        assert np.array_equal(dep.units[:, 1], dep.units[:, 0])
 
     @pytest.mark.slow
     def test_ul_mode_link_distance_is_rayleigh(self):
@@ -349,7 +344,8 @@ class TestAssignDirections:
             dep, _ = generate_deployment(
                 LAMBDA, 0.5, HALF, RngStream(70, seed), typical_mode="ul"
             )
-            dists.append(np.linalg.norm(dep.typical_ue - dep.bs_positions[dep.typical_ul_bs]))
+            ul_bs, ue = dep.units[dep.probe, 0], dep.ues[dep.probe]
+            dists.append(np.linalg.norm(ue - dep.bs_positions[ul_bs]))
         p = sps.kstest(dists, lambda r: nearest_distance_cdf(r, LAMBDA)).pvalue
         assert p > 0.01
 
@@ -360,7 +356,7 @@ class TestAssignDirections:
             dep, _ = generate_deployment(
                 LAMBDA, 0.5, HALF, RngStream(71, seed), typical_mode="dl"
             )
-            dists.append(np.linalg.norm(dep.bs_positions[dep.typical_ul_bs]))
+            dists.append(np.linalg.norm(dep.bs_positions[dep.units[dep.probe, 0]]))
         p = sps.kstest(dists, lambda r: nearest_distance_cdf(r, LAMBDA)).pvalue
         assert p > 0.01
 
@@ -521,9 +517,10 @@ class TestReproducibilityAndExport:
         b, rb = generate_deployment(LAMBDA, 0.5, HALF, RngStream(90, 7))
         assert ra == rb
         assert np.array_equal(a.bs_positions, b.bs_positions)
-        assert np.array_equal(a.pairs, b.pairs)
-        assert np.array_equal(a.active_ues, b.active_ues)
-        assert np.array_equal(a.pair_active_dl, b.pair_active_dl)
+        assert np.array_equal(a.units, b.units)
+        assert np.array_equal(a.ues, b.ues)
+        assert np.array_equal(a.active_dl, b.active_dl)
+        assert a.probe == b.probe
         assert snapshot_csv(a) == snapshot_csv(b)
 
     def test_distinct_streams_differ(self):
@@ -559,3 +556,40 @@ class TestReproducibilityAndExport:
             cells = line.split(",")
             assert len(cells) == 4
             float(cells[0]), float(cells[1]), int(cells[3])
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_snapshot_rows_roles_and_pair_ids(self, scheme, mode):
+        def xy(p):
+            return f"{p[0]:.9g},{p[1]:.9g}"
+
+        for seed in range(5):
+            dep, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(94, seed), scheme, mode)
+            rows = [line.rsplit(",", 2) for line in snapshot_csv(dep).splitlines()[1:]]
+            assert len(rows) == len(dep.bs_positions) + len(dep.units)
+            # every station exactly once, and one terminal per unit
+            stations = {pos: (role, int(pid)) for pos, role, pid in rows if role.startswith("bs")}
+            terminals = {pos: (role, int(pid)) for pos, role, pid in rows if role.startswith("ue")}
+            assert sorted(stations) == sorted(xy(p) for p in dep.bs_positions)
+            assert len(terminals) == len(dep.units)
+            # pair members and their terminal share the pair's id; singles -1
+            for g, (i, j) in enumerate(dep.units.tolist()):
+                pid = g if i != j else -1
+                assert stations[xy(dep.bs_positions[i])][1] == pid
+                assert stations[xy(dep.bs_positions[j])][1] == pid
+                assert terminals[xy(dep.ues[g])][1] == pid
+            # each typical role once, at the probe's stations and terminal
+            roles = [role for _, role, _ in rows]
+            ul_bs, dl_bs = dep.units[dep.probe]
+            assert roles.count("bs_typical_ul") == roles.count("ue_typical") == 1
+            assert stations[xy(dep.bs_positions[ul_bs])][0] == "bs_typical_ul"
+            assert terminals[xy(dep.ues[dep.probe])][0] == "ue_typical"
+            if scheme == "duda":
+                assert roles.count("bs_typical_dl") == 1
+                assert stations[xy(dep.bs_positions[dl_bs])] == ("bs_typical_dl", dep.probe)
+            else:
+                assert "bs_typical_dl" not in roles
+                assert stations[xy(dep.bs_positions[ul_bs])] == ("bs_typical_ul", -1)
+            # the probe's anchor at the origin
+            anchor = "bs_typical_ul" if mode == "ul" else "ue_typical"
+            assert [pos for pos, role, _ in rows if role == anchor] == ["0,0"]

@@ -77,7 +77,6 @@ def random_document(rng: random.Random, command: str) -> str:
         "p_b_dbm": lambda: rng.uniform(-30, 50),
         "p_m_dbm": lambda: rng.uniform(-30, 50),
         "noise_dbm": lambda: _pick(rng, lambda: rng.uniform(-200, -60), 30.0),
-        "bandwidth": lambda: _pick(rng, lambda: _loguniform(rng, 1e-3, 1e3), 0.0),
         "t_u": lambda: t_u,
         "t_d": lambda: t_d,
         "s_u": lambda: _pick(rng, lambda: rng.uniform(0.05, 1.0) * s_max[0], 2 * t_u),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,14 +197,14 @@ class TestGap:
                         s_d=rng.uniform(1e-6, 1.0) * t)
             link = LinkSuccess(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
             gap = latency_gap(tm, link)
-            direct = latency_duca(tm, link).total - latency_duda(tm, link, w=t).total
+            direct = latency_duca(tm, link).total - latency_duda(replace(tm, w=t), link).total
             assert gap > 0.0
             assert gap == pytest.approx(direct, rel=1e-12)
 
     def test_asymmetric_falls_back_to_difference(self):
         tm = timing(t_d=2.0, t_u=1.0)
         link = LinkSuccess(0.9, 0.7)
-        want = latency_duca(tm, link).total - latency_duda(tm, link, w=2.0).total
+        want = latency_duca(tm, link).total - latency_duda(replace(tm, w=2.0), link).total
         assert latency_gap(tm, link) == pytest.approx(want, rel=1e-12)
 
 

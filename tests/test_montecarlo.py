@@ -36,34 +36,18 @@ def isolated_pair_deployment(scheme="duda"):
     """Two cooperating stations, no interferers: the probe pair alone."""
     if scheme == "duda":
         return Deployment(
-            window_half_width=75.0,
             bs_positions=np.array([[5.0, 0.0], [12.0, 0.0]]),
-            pairs=np.array([[0, 1]]),
-            unpaired=np.array([], dtype=int),
-            pair_active_dl=np.array([False]),
-            unpaired_active_dl=np.array([], dtype=bool),
-            active_ues=np.array([[0.0, 0.0]]),
-            scheme="duda",
-            typical_mode="dl",
-            typical_ue=np.zeros(2),
-            typical_ul_bs=0,
-            typical_dl_bs=1,
-            typical_pair_index=0,
+            units=np.array([[0, 1]]),
+            active_dl=np.array([False]),
+            ues=np.array([[0.0, 0.0]]),
+            probe=0,
         )
     return Deployment(
-        window_half_width=75.0,
         bs_positions=np.array([[5.0, 0.0]]),
-        pairs=np.empty((0, 2), dtype=int),
-        unpaired=np.array([0]),
-        pair_active_dl=np.array([], dtype=bool),
-        unpaired_active_dl=np.array([False]),
-        active_ues=np.array([[0.0, 0.0]]),
-        scheme="duca",
-        typical_mode="dl",
-        typical_ue=np.zeros(2),
-        typical_ul_bs=0,
-        typical_dl_bs=0,
-        typical_pair_index=-1,
+        units=np.array([[0, 0]]),
+        active_dl=np.array([False]),
+        ues=np.array([[0.0, 0.0]]),
+        probe=0,
     )
 
 
@@ -74,9 +58,9 @@ def with_interferer(dep, bs, ue, active_dl):
     return replace(
         dep,
         bs_positions=np.vstack([dep.bs_positions, [[500.0, 500.0], bs]]),
-        pairs=np.vstack([dep.pairs, [[n, n + 1]]]),
-        pair_active_dl=np.append(dep.pair_active_dl, active_dl),
-        active_ues=np.vstack([dep.active_ues, [ue]]),
+        units=np.vstack([dep.units, [[n, n + 1]]]),
+        active_dl=np.append(dep.active_dl, active_dl),
+        ues=np.vstack([dep.ues, [ue]]),
     )
 
 
@@ -89,24 +73,21 @@ def brute_force(dep, params, rng, draws, redraw=False, chunk=10_000):
     exponential fading on every link; with ``redraw`` each attempt draws
     every unit's direction afresh, shared by its UL and DL phases.
     Returns [(hits, draws)] for p_ul, p_dl and p_retry."""
-    n_pairs = len(dep.pairs)
     units = [
-        (dep.bs_positions[dep.pairs[g, 1]], dep.active_ues[g], dep.pair_active_dl[g])
-        for g in range(n_pairs) if g != dep.typical_pair_index
-    ] + [
-        (dep.bs_positions[b], dep.active_ues[n_pairs + k], dep.unpaired_active_dl[k])
-        for k, b in enumerate(dep.unpaired)
-        if not (dep.scheme == "duca" and b == dep.typical_ul_bs)
+        (dep.bs_positions[dl], dep.ues[g], dep.active_dl[g])
+        for g, (_, dl) in enumerate(dep.units.tolist()) if g != dep.probe
     ]
-    rx_ul, rx_dl = dep.bs_positions[dep.typical_ul_bs], dep.typical_ue
+    ul_bs, dl_bs = dep.units[dep.probe]
+    ue = dep.ues[dep.probe]
+    rx_ul, rx_dl = dep.bs_positions[ul_bs], ue
     a = params.alpha
     bs_ul = np.array([gain(params.p_b, b, rx_ul, a) for b, _, _ in units])
     ue_ul = np.array([gain(params.p_m, u, rx_ul, a) for _, u, _ in units])
     bs_dl = np.array([gain(params.p_b, b, rx_dl, a) for b, _, _ in units])
     ue_dl = np.array([gain(params.p_m, u, rx_dl, a) for _, u, _ in units])
     own = np.array([act for _, _, act in units], dtype=bool)
-    s_ul = gain(params.p_m, dep.typical_ue, rx_ul, a)
-    s_dl = gain(params.p_b, dep.bs_positions[dep.typical_dl_bs], rx_dl, a)
+    s_ul = gain(params.p_m, ue, rx_ul, a)
+    s_dl = gain(params.p_b, dep.bs_positions[dl_bs], rx_dl, a)
     hits = np.zeros(3, dtype=np.int64)
     for lo in range(0, draws, chunk):
         m = min(chunk, draws - lo)
@@ -158,8 +139,7 @@ class TestSuccessProbabilities:
     def test_hand_example(self):
         # 0.1 W at sqrt(50) m against a 10 W station at 30 m: SIR 3.24
         dep = with_interferer(
-            replace(isolated_pair_deployment(), typical_ue=np.array([10.0, 5.0]),
-                    active_ues=np.array([[10.0, 5.0]])),
+            replace(isolated_pair_deployment(), ues=np.array([[10.0, 5.0]])),
             [35.0, 0.0], [400.0, 0.0], True,
         )
         p_ul, _, _ = success_probabilities(dep, replace(QUIET, beta_u=1.62))
@@ -435,18 +415,16 @@ class TestTransmittingTerminals:
                     assert rs_lean == rs_full
                     # blank rows: exactly the DL-active unmatched stations'
                     # terminals, the probe's own cell excepted
-                    blank = np.isnan(lean.active_ues).any(axis=1)
-                    n_pairs = len(full.pairs)
-                    assert not blank[:n_pairs].any()
-                    probe = full.unpaired == full.typical_ul_bs
-                    assert np.array_equal(blank[n_pairs:], full.unpaired_active_dl & ~probe)
-                    assert not np.isnan(full.active_ues).any()
-                    assert np.array_equal(lean.active_ues[~blank], full.active_ues[~blank])
-                    for name in ("bs_positions", "pairs", "unpaired", "pair_active_dl",
-                                 "unpaired_active_dl", "typical_ue"):
+                    blank = np.isnan(lean.ues).any(axis=1)
+                    single = full.units[:, 0] == full.units[:, 1]
+                    assert not blank[~single].any()
+                    probe = np.arange(len(full.units)) == full.probe
+                    assert np.array_equal(blank, full.active_dl & single & ~probe)
+                    assert not np.isnan(full.ues).any()
+                    assert np.array_equal(lean.ues[~blank], full.ues[~blank])
+                    for name in ("bs_positions", "units", "active_dl"):
                         assert np.array_equal(getattr(lean, name), getattr(full, name)), name
-                    for name in ("typical_ul_bs", "typical_dl_bs", "typical_pair_index",
-                                 "degenerate"):
+                    for name in ("probe", "degenerate"):
                         assert getattr(lean, name) == getattr(full, name), name
                     # bit for bit, as each campaign builds its deployments
                     assert success_probabilities(lean, params) == success_probabilities(
@@ -472,7 +450,7 @@ class TestTransmittingTerminals:
                     iterations=20, seed=49, scheme=scheme,
                     attempt_model="fixed", direction_redraw=redraw,
                 ))
-                blank = [bool(np.isnan(dep.active_ues).any()) for dep in seen]
+                blank = [bool(np.isnan(dep.ues).any()) for dep in seen]
                 assert len(blank) == 20
                 assert any(blank) != redraw
 

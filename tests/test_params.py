@@ -53,7 +53,6 @@ class TestDefaults:
         assert p.beta_d == pytest.approx(10 ** -0.5)
         assert p.p_b == pytest.approx(10.0)
         assert p.p_m == pytest.approx(0.1)
-        assert p.bandwidth == 1.0
 
     def test_w_defaults_to_t_d(self):
         assert SlotTiming(t_d=2.0, t_u=1.0).w == 2.0

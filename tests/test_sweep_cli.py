@@ -281,6 +281,30 @@ class TestCli:
         assert main([command, "--config", str(cfg), *flags]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
+    @pytest.mark.parametrize("command, flags, setting, message", [
+        ("analytic", (), "beta_u_db = 4000",
+         "line 2: beta_u_db = 4000.0 overflows a float in linear units"),
+        ("snapshot", (), "p_b_dbm = 5000",
+         "line 2: p_b_dbm = 5000.0 overflows a float in linear units"),
+        *(("sweep", ("--sweep", "beta_u_db:0:5000:2", "--mode", mode), "",
+           "beta_u_db = 5000.0 overflows a float in linear units")
+          for mode in ("analytic", "simulate")),
+        # 10^-400 is 0.0 in a float: beta_u = 0, as a document setting -4000
+        *(("sweep", ("--sweep", "beta_u_db:-4000:0:2", "--mode", mode), "",
+           "beta_u_db sweep must keep beta_u positive")
+          for mode in ("analytic", "simulate")),
+        ("sweep", (), "sweep_variable = beta_d_db\nsweep_start = 0\nsweep_stop = 5000",
+         "line 2: beta_d_db = 5000.0 overflows a float in linear units"),
+    ])
+    def test_db_values_past_float_range_exit_2(
+        self, tmp_path: Path, capsys, command, flags, setting, message
+    ):
+        # no row is written: the sweep's endpoints are checked before its first
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"iterations = 20\n{setting}\n")
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
     @pytest.mark.parametrize("command", ["simulate", "snapshot"])
     def test_window_too_small_for_any_station_exits_2(self, tmp_path: Path, capsys, command):
         # 0.005 stations expected in a 1 m window: every draw is unusable
