@@ -38,10 +38,8 @@ from .coverage import dl_success_probability, ul_success_probability
 from .deployment import (
     Deployment,
     RngStream,
-    assign_directions_and_ues,
     delaunay_adjacency,
     generate_deployment,
-    pair_bs,
     sample_ppp,
     snapshot_csv,
 )
@@ -58,8 +56,8 @@ __all__ = [
     "n_shot_success", "protocol_delay_sample",
     "QuadratureConvergenceError", "interference_tail_integral",
     "dl_success_probability", "ul_success_probability",
-    "Deployment", "RngStream", "assign_directions_and_ues", "delaunay_adjacency",
-    "generate_deployment", "pair_bs", "sample_ppp", "snapshot_csv",
+    "Deployment", "RngStream", "delaunay_adjacency", "generate_deployment",
+    "sample_ppp", "snapshot_csv",
     "LatencyStats", "run_campaign", "run_synthetic_campaign", "samples_csv",
     "ConfigBundle", "ConfigError", "SweepSpec", "parse_config",
     "run_sweep", "rows_to_csv", "run_validation",

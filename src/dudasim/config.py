@@ -8,12 +8,16 @@ standard parameter table, slot timing in slot units, 10^4 iterations and a
 150 m square observation window.  Values arriving through CLI flags are
 merged as overrides before validation: flags override the file, the file
 overrides defaults.
+
+A sweep point is one more key assignment: ``at_point`` sets the swept key's
+field through the same table and conversion, and ``check_sweep`` bounds a
+sweep by passing its endpoints through ``at_point`` and ``validate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from .params import (
@@ -185,9 +189,10 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
 
     sweep = SweepSpec(**given["sweep"])
     trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
+    bundle = ConfigBundle(trial, sweep, **given["bundle"])
     # only `dudasim sweep` reads the sweep, and run_sweep checks a default one
     if any(key.startswith("sweep_") for key in vals):
-        check_sweep(sweep, timing, lines)
+        check_sweep(sweep, bundle, lines)
 
     link = given["link"]
     forced_link = None
@@ -198,10 +203,23 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         bad = validate_link(forced_link)
         if bad:
             raise ConfigError("; ".join(bad), lines["rho_u"])
-    return ConfigBundle(trial, sweep, forced_link=forced_link, **given["bundle"])
+    return replace(bundle, forced_link=forced_link)
 
 
-def check_sweep(sweep: SweepSpec, timing: SlotTiming, lines: Dict[str, int]) -> None:
+def at_point(bundle: ConfigBundle, variable: str, value: float, line: int = 0) -> ConfigBundle:
+    """The bundle at one sweep point: a key sets its field through ``_KEYS``,
+    and ``rho_product`` forces both success probabilities to its square root."""
+    if variable == "rho_product":
+        if not 0.0 < value <= 1.0:
+            raise ConfigError("rho_product sweep must stay within (0, 1]", line)
+        rho = math.sqrt(value)
+        return replace(bundle, forced_link=LinkSuccess(rho, rho))
+    _, group, field, _ = _KEYS[variable]
+    point = replace(getattr(bundle.trial, group), **{field: _convert(variable, value, line)})
+    return replace(bundle, trial=replace(bundle.trial, **{group: point}))
+
+
+def check_sweep(sweep: SweepSpec, bundle: ConfigBundle, lines: Dict[str, int]) -> None:
     """Raise ConfigError, at the line that set the sweep, for a sweep that
     leaves its variable's domain."""
     line = lines.get("sweep_variable", lines.get("sweep_start", 0))
@@ -211,20 +229,12 @@ def check_sweep(sweep: SweepSpec, timing: SlotTiming, lines: Dict[str, int]) -> 
         raise ConfigError("sweep start must be below stop", lines.get("sweep_start", line))
     if sweep.steps < 2:
         raise ConfigError("sweep needs at least 2 steps", lines.get("sweep_steps", line))
-    lo, hi = sweep.start, sweep.stop
-    if sweep.variable == "s_u" and not (0.0 < lo and hi <= timing.t_u):
-        raise ConfigError("s_u sweep must stay within (0, t_u]", line)
-    if sweep.variable == "rho_product" and not (0.0 < lo and hi <= 1.0):
-        raise ConfigError("rho_product sweep must stay within (0, 1]", line)
-    if sweep.variable == "delta" and not (0.0 < lo and hi < 1.0):
-        raise ConfigError("delta sweep must stay within (0, 1)", line)
-    if sweep.variable == "lambda_b" and not 0.0 < lo:
-        raise ConfigError("lambda_b sweep must be positive", line)
-    if sweep.variable in ("beta_u_db", "beta_d_db"):
-        # the conversion grows with the value: the endpoints bound every point
-        field = _KEYS[sweep.variable][2]
-        if not all(_convert(sweep.variable, end, line) > 0 for end in (lo, hi)):
-            raise ConfigError(f"{sweep.variable} sweep must keep {field} positive", line)
+    # every conversion is monotone and every rule an interval: the endpoints bound every point
+    for end in (sweep.start, sweep.stop):
+        point = at_point(bundle, sweep.variable, end, line)
+        violations = validate(point.params, point.timing)
+        if violations:
+            raise ConfigError(f"{sweep.variable} sweep endpoint {end:g}: {violations[0]}", line)
 
 
 def parse_config(text: str, overrides: Dict[str, str] | None = None) -> ConfigBundle:

@@ -295,12 +295,14 @@ def assign_directions_and_ues(
     if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
         raise ValueError("stations must be distinct points inside the window")
 
+    # each station once: a repeated one leaves a unit whose region has no area
+    if not np.array_equal(np.sort(np.concatenate([pairs.ravel(), unpaired])), np.arange(n)):
+        raise ValueError("pairs and unpaired must partition the stations")
+
     # Units: one per pair, then one per unmatched station.
     units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
-    group_of_bs = np.full(n, -1)
+    group_of_bs = np.empty(n, dtype=int)
     group_of_bs[units] = np.arange(len(units))[:, None]
-    if (group_of_bs < 0).any():
-        raise ValueError("pairs and unpaired must cover every station")
 
     # Typical serving geometry.
     ul_bs = int(np.argmin(np.linalg.norm(points, axis=1)))

@@ -7,9 +7,12 @@ sweeps the success probabilities are set directly to (sqrt(p), sqrt(p))
 and the geometry layer is bypassed, in analytic mode via the formulas and
 in simulate mode via Bernoulli-attempt campaigns.
 
-Numbers are printed with 9 significant digits and a period decimal
-separator so outputs regress byte-for-byte.  The wall-clock column is
-opt-in (``emit_timing``) because enabling it breaks byte-identical reruns.
+Each point is set by ``config.at_point`` through the key table, once
+``config.check_sweep`` has bounded the sweep's endpoints.  The CSV columns
+are ``SweepRow``'s fields, numbers with 9 significant digits and a period
+decimal separator so outputs regress byte-for-byte.  The wall-clock column,
+the last field, is opt-in (``emit_timing``) because it breaks
+byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -17,22 +20,24 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional
 
 import numpy as np
 
-from .config import ConfigBundle, SweepSpec, check_sweep
+from .config import ConfigBundle, SweepSpec, at_point, check_sweep
 from .coverage import dl_success_probability, ul_success_probability
 from .deployment import NoRealizationError
 from .latency import LatencyBreakdown, latency_duca, latency_duda
 from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign
-from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig, db_to_linear
+from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig
 from .quadrature import QuadratureConvergenceError
 
 
 @dataclass
 class SweepRow:
+    """One CSV row: the fields are its columns, in order."""
+
     variable: str
     value: float
     scheme: str
@@ -45,33 +50,12 @@ class SweepRow:
     wall_time_ms: float = 0.0
 
 
-CSV_HEADER = "variable,value,scheme,mode,latency_mean,latency_ci95,rho_u,rho_d,censored_fraction"
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.9g}"
-
-
 def rows_to_csv(rows: List[SweepRow], emit_timing: bool = False) -> str:
-    header = CSV_HEADER + (",wall_time_ms" if emit_timing else "")
-    lines = [header]
+    names = [f.name for f in fields(SweepRow) if emit_timing or f.name != "wall_time_ms"]
+    lines = [",".join(names)]
     for r in rows:
-        cells = [
-            r.variable,
-            _fmt(r.value),
-            r.scheme,
-            r.mode,
-            _fmt(r.latency_mean),
-            _fmt(r.latency_ci95),
-            _fmt(r.rho_u),
-            _fmt(r.rho_d),
-            _fmt(r.censored_fraction),
-        ]
-        if emit_timing:
-            cells.append(_fmt(r.wall_time_ms))
-        lines.append(",".join(cells))
+        cells = (getattr(r, name) for name in names)
+        lines.append(",".join(c if isinstance(c, str) else f"{c:.9g}" for c in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -80,26 +64,6 @@ def _point_seed(seed: int, point: int) -> int:
     # randomness keeps the scheme comparison low-variance)
     ss = np.random.SeedSequence([seed, point])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _apply_point(
-    spec: SweepSpec, value: float, params: SystemParams, timing: SlotTiming
-):
-    """Return (params, timing, forced_link) at one sweep point."""
-    if spec.variable == "s_u":
-        return params, replace(timing, s_u=value), None
-    if spec.variable == "rho_product":
-        rho = math.sqrt(value)
-        return params, timing, LinkSuccess(rho, rho)
-    if spec.variable == "delta":
-        return replace(params, delta=value), timing, None
-    if spec.variable == "lambda_b":
-        return replace(params, lambda_b=value), timing, None
-    if spec.variable == "beta_u_db":
-        return replace(params, beta_u=db_to_linear(value)), timing, None
-    if spec.variable == "beta_d_db":
-        return replace(params, beta_d=db_to_linear(value)), timing, None
-    raise ValueError(f"unknown sweep variable {spec.variable!r}")
 
 
 def analytic_link(params: SystemParams, include_noise: bool) -> LinkSuccess:
@@ -138,15 +102,15 @@ def simulate_row(variable: str, value: float, stats: LatencyStats) -> SweepRow:
 def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
     """Evaluate the sweep; failures are reported per row (a warning goes to
     stderr and the row carries NaNs) without aborting the remaining rows."""
-    check_sweep(spec, bundle.timing, {})
+    check_sweep(spec, bundle, {})
     values = np.linspace(spec.start, spec.stop, spec.steps)
     modes = ("analytic", "simulate") if spec.mode == "both" else (spec.mode,)
     rows: List[SweepRow] = []
     links: dict = {}  # the success probabilities depend on params only, not timing
     for point, value in enumerate(values):
         value = float(value)
-        params, timing, forced = _apply_point(spec, value, bundle.params, bundle.timing)
-        forced = forced or bundle.forced_link
+        at = at_point(bundle, spec.variable, value)
+        params, timing, forced = at.params, at.timing, at.forced_link
         for scheme in spec.schemes:
             for mode in modes:
                 t0 = time.perf_counter()
@@ -161,10 +125,8 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
                             link.rho_u, link.rho_d, 0.0,
                         )
                     else:
-                        cfg = replace(
-                            bundle.trial, params=params, timing=timing, scheme=scheme,
-                            seed=_point_seed(bundle.trial.seed, point),
-                        )
+                        cfg = replace(at.trial, scheme=scheme,
+                                      seed=_point_seed(bundle.trial.seed, point))
                         row = simulate_row(spec.variable, value, simulate_campaign(cfg, forced))
                 # the failures a valid configuration can still meet at one point
                 except (NoRealizationError, QuadratureConvergenceError, ValueError) as exc:
@@ -172,11 +134,7 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
                         f"sweep point {spec.variable}={value:.6g} {scheme}/{mode} failed: {exc}",
                         file=sys.stderr,
                     )
-                    row = SweepRow(
-                        spec.variable, value, scheme, mode,
-                        float("nan"), float("nan"), float("nan"), float("nan"),
-                        float("nan"),
-                    )
+                    row = SweepRow(spec.variable, value, scheme, mode, *[math.nan] * 5)
                 row.wall_time_ms = (time.perf_counter() - t0) * 1000.0
                 rows.append(row)
     return rows

@@ -1,6 +1,28 @@
 import pytest
 
+from dudasim.cli import main
 from dudasim.config import ConfigError, parse_config, parse_kv
+
+# (VAR:START:STOP, the rule the sweep breaks or None): each variable's sweep
+# ending on a closed end of its domain, and just past each end (t_u is 1)
+SWEEP_ENDS = [
+    ("s_u:0.1:1", None),
+    ("s_u:0:0.5", "s_u must lie in (0, t_u]"),
+    ("s_u:0.1:1.000001", "s_u must lie in (0, t_u]"),
+    ("rho_product:0.3:1", None),
+    ("rho_product:0:0.5", "rho_product sweep must stay within (0, 1]"),
+    ("rho_product:0.3:1.000001", "rho_product sweep must stay within (0, 1]"),
+    ("delta:1e-09:0.999999999", None),
+    ("delta:0:0.5", "delta must lie strictly between 0 and 1"),
+    ("delta:0.5:1", "delta must lie strictly between 0 and 1"),
+    ("lambda_b:1e-09:0.01", None),
+    ("lambda_b:0:0.01", "lambda_b must be positive"),
+    *((f"{var}:-3000:300", None) for var in ("beta_u_db", "beta_d_db")),
+    # 10^-400 is 0.0 in a float, and 10^500 overflows one
+    *((f"{var}:-4000:0", f"{var[:6]} must be positive") for var in ("beta_u_db", "beta_d_db")),
+    *((f"{var}:0:5000", f"{var} = 5000.0 overflows a float in linear units")
+      for var in ("beta_u_db", "beta_d_db")),
+]
 
 
 class TestDefaults:
@@ -91,6 +113,23 @@ class TestSweepValidation:
         with pytest.raises(ConfigError):
             parse_config("sweep_variable = rho_product\nsweep_start = 0.0\nsweep_stop = 1.0\n")
         parse_config("sweep_variable = rho_product\nsweep_start = 0.3\nsweep_stop = 1.0\n")
+
+    @pytest.mark.parametrize("sweep, rule", SWEEP_ENDS, ids=[s for s, _ in SWEEP_ENDS])
+    def test_domain_ends(self, sweep, rule, capsys):
+        variable, start, stop = sweep.split(":")
+        doc = f"iterations = 20\nsweep_variable = {variable}\nsweep_start = {start}\n" \
+              f"sweep_stop = {stop}\n"
+        flags = {"sweep_variable": variable, "sweep_start": start, "sweep_stop": stop}
+        if rule is None:
+            assert parse_config(doc).sweep.stop == parse_config("", flags).sweep.stop == float(stop)
+            return
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        message = str(exc.value).removeprefix("line 2: ")
+        assert exc.value.line == 2 and rule in message
+        # the same message from the flag, which has no line
+        assert main(["sweep", "--sweep", f"{sweep}:2", "--iterations", "20"]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
     def test_steps_and_order(self):
         with pytest.raises(ConfigError):

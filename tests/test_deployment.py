@@ -293,10 +293,23 @@ class TestAssignDirections:
                     np.empty((0, 2), dtype=int), np.arange(3), points, 0.5,
                     RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
                 )
-        with pytest.raises(ValueError, match="cover every station"):
+        with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
                 np.empty((0, 2), dtype=int), np.arange(2), outside * 0.5, 0.5,
                 RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
+            )
+
+    @pytest.mark.parametrize("unpaired", [[0, 1, 2, 3], [2, 3, 3], [2, 4]],
+                             ids=["overlap", "duplicate", "past_n"])
+    def test_rejects_pairs_and_unpaired_that_do_not_partition(self, unpaired):
+        # the duplicate once made a unit with no station, whose region has no
+        # area, and placement never ended; the overlap raised
+        # TypicalUnpairedError, which callers take as a reason to resample
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match="partition the stations"):
+            assign_directions_and_ues(
+                np.array([[0, 1]]), np.array(unpaired), pts, 0.5,
+                RngStream(57).generator(), "dl", window_half_width=15.0,
             )
 
     def test_pair_orientation_follows_terminal(self):

@@ -291,7 +291,7 @@ class TestCli:
           for mode in ("analytic", "simulate")),
         # 10^-400 is 0.0 in a float: beta_u = 0, as a document setting -4000
         *(("sweep", ("--sweep", "beta_u_db:-4000:0:2", "--mode", mode), "",
-           "beta_u_db sweep must keep beta_u positive")
+           "beta_u_db sweep endpoint -4000: beta_u must be positive")
           for mode in ("analytic", "simulate")),
         ("sweep", (), "sweep_variable = beta_d_db\nsweep_start = 0\nsweep_stop = 5000",
          "line 2: beta_d_db = 5000.0 overflows a float in linear units"),
@@ -370,7 +370,8 @@ class TestCli:
         cfg.write_text("t_u = 0.6\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr() == (
-            "", "configuration error: s_u sweep must stay within (0, t_u]\n")
+            "", "configuration error: s_u sweep endpoint 0.9: "
+            "s_u must lie in (0, t_u]; s_u must not exceed t_u\n")
 
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")

@@ -12,7 +12,9 @@ directory with only that tree's ``src`` on the path:
 - ``snapshot --seed 0..3`` for each scheme and typical mode;
 - ``simulate`` for each scheme, attempt model (``fixed`` with and without
   ``direction_redraw``) and typical mode, with ``--samples-out``;
-- one small ``sweep --mode both`` per sweep variable;
+- one small ``sweep --mode both`` per sweep variable, and one sweep per
+  variable that leaves its domain (exit 2 and its message);
+- a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
 - ``validate --iterations 500``;
 - demo 03's stdout and the CSV it writes.
 
@@ -64,6 +66,12 @@ def cases():
         out.append((f"sweep {sweep}",
                     CLI + ["sweep", "--sweep", sweep, "--mode", "both", "--iterations", "60"],
                     "", []))
+    for sweep in ("s_u:0.1:1.5:3", "rho_product:0:1:3", "delta:0.2:1:3",
+                  "lambda_b:0:0.006:3", "beta_u_db:-4000:0:3", "beta_d_db:-4000:0:3"):
+        out.append((f"sweep {sweep} (out of domain)", CLI + ["sweep", "--sweep", sweep], "", []))
+    out.append(("sweep s_u:0.1:0.9:2 window_side=1 (every row fails)",
+                CLI + ["sweep", "--sweep", "s_u:0.1:0.9:2", "--mode", "simulate"],
+                "window_side = 1\n", []))
     out.append(("validate", CLI + ["validate", "--iterations", "500"], "", []))
     out.append(("demo 03", ["demos/03_deployment_snapshot.py"], None,
                 ["deployment_snapshot.csv"]))
