@@ -116,6 +116,8 @@ _RANGES = (
     # a synthetic campaign's trial index is one 32-bit entropy word
     ("iterations", lambda n: n <= 2**32, "at most 2**32"),
     ("max_attempts", lambda n: n >= 1, "at least 1"),
+    # the retry kernel counts attempts in int64, and 1 + retries must not wrap
+    ("max_attempts", lambda n: n <= 2**32, "at most 2**32"),
     ("window_side", lambda side: side > 0, "positive"),
     ("seed", lambda n: n >= 0, "non-negative"),
 )

@@ -9,13 +9,15 @@ station receives the UL and its partner sends the DL, or an unmatched
 station (i, i), which does both.  Each unit draws an active link direction
 from the DL traffic ratio delta and receives one uniformly placed terminal.
 
-The probe link is anchored at the origin.  In "dl" typical mode the
-terminal sits at the origin and its nearest BS serves the UL (for the
-decoupled scheme, that BS's matched partner serves the DL ACK) -- the
-serving distance then follows the nearest-neighbour law organically.  In
-"ul" typical mode a BS is pinned at the origin and the probe terminal is
-placed at a distance drawn from the same nearest-neighbour law, which is
-the distance distribution the analytical model assumes.
+``generate_deployment`` anchors the probe link at the origin: the station
+nearest the origin serves the probe's UL (for the decoupled scheme, its
+matched partner serves the DL ACK).  In "dl" typical mode the probe
+terminal sits at the origin, so the serving distance follows the
+nearest-neighbour law organically.  In "ul" typical mode a BS is pinned at
+the origin and the probe terminal is placed at a distance drawn from the
+same nearest-neighbour law, which is the distance distribution the
+analytical model assumes.  A decoupled draw whose serving station ends the
+matching unmatched has no DUDA link and is redrawn.
 
 The coupled baseline ("duca") reuses the machinery with pairing disabled:
 every BS is its own unit, with an independent direction and a terminal in
@@ -58,11 +60,6 @@ def seed_words(*ints: int) -> np.ndarray:
             n >>= 32
             words.append(n & 0xFFFFFFFF)
     return np.array(words, dtype=np.uint32)
-
-
-class TypicalUnpairedError(RuntimeError):
-    """The probe's serving BS ended the matching round unmatched; the
-    realization must be resampled."""
 
 
 class NoRealizationError(RuntimeError):
@@ -178,16 +175,15 @@ _SCREEN_BLOCK = 8192
 def _uniform_in_groups(
     points: np.ndarray,
     group_of_bs: np.ndarray,
-    n_groups: int,
+    need: np.ndarray,
     window_half_width: float,
     gen: np.random.Generator,
-    need: np.ndarray | None = None,
 ) -> np.ndarray:
     """One uniform point per needed group, where group g's region is the
     union of the Voronoi cells of the stations with group_of_bs == g (clipped
     to the window).  Rejection-samples batches of window-uniform candidates
     and keeps each group's first hit until every group in the boolean mask
-    ``need`` (every group when None) has one; the kd-tree of the stations
+    ``need`` (one entry per group) has one; the kd-tree of the stations
     decides which cell a candidate falls in.  Every station lies in the window
     and the stations are distinct, so every region has positive area and the
     loop ends with probability 1.  Rows of groups not needed are NaN.  Which
@@ -207,8 +203,8 @@ def _uniform_in_groups(
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    out = np.full((n_groups, 2), np.nan)
-    missing = np.ones(n_groups, dtype=bool) if need is None else np.array(need, dtype=bool)
+    missing = np.array(need, dtype=bool)
+    out = np.full((len(missing), 2), np.nan)
     batch = max(512, 5 * len(points))
     local = None
     while missing.any():
@@ -255,22 +251,18 @@ def assign_directions_and_ues(
     points: np.ndarray,
     delta: float,
     gen: np.random.Generator,
-    typical_mode: str = "dl",
+    probe_bs: int,
+    probe_ue: np.ndarray,
     *,
     window_half_width: float,
-    scheme: str = "duda",
-    lambda_b: float | None = None,
-    degenerate: bool = False,
     all_terminals: bool = True,
 ) -> Deployment:
-    """Draw link directions and terminal positions, and anchor the probe.
+    """Draw link directions and terminal positions around a given probe.
 
     ``pairs`` (a (P, 2) int array) and ``unpaired`` (an int array) must
     partition the stations, which must be distinct points inside the window.
-    Raises TypicalUnpairedError when the probe's serving BS is unmatched in
-    a decoupled-scheme realization (callers resample).  ``lambda_b`` is only
-    needed in "ul" typical mode, where the probe terminal's distance is
-    drawn from the nearest-neighbour law of that intensity.
+    Station ``probe_bs`` serves the probe's UL, and ``probe_ue`` is the
+    terminal of its unit.
 
     With ``all_terminals`` false, only the terminals that the deployment's
     own directions read are placed: one per pair (it orients the pair) and
@@ -281,15 +273,11 @@ def assign_directions_and_ues(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if typical_mode not in ("ul", "dl"):
-        raise ValueError("typical_mode must be 'ul' or 'dl'")
-    if scheme not in ("duda", "duca"):
-        raise ValueError("scheme must be 'duda' or 'duca'")
     n = len(points)
     if n == 0:
         raise ValueError("realization contains no base stations")
-    if scheme == "duca" and len(pairs):
-        raise ValueError("coupled-baseline deployments carry no pairs")
+    if not 0 <= probe_bs < n:
+        raise ValueError(f"probe_bs must index one of the {n} stations")
     # otherwise some terminal region has no area and placement never ends
     xy = points[np.lexsort(points.T)]
     if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
@@ -303,21 +291,7 @@ def assign_directions_and_ues(
     units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
     group_of_bs = np.empty(n, dtype=int)
     group_of_bs[units] = np.arange(len(units))[:, None]
-
-    # Typical serving geometry.
-    ul_bs = int(np.argmin(np.linalg.norm(points, axis=1)))
-    if typical_mode == "dl":
-        typical_ue = np.zeros(2)
-    else:
-        if lambda_b is None:
-            raise ValueError("lambda_b is required in 'ul' typical mode")
-        r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
-        theta = gen.uniform(0.0, 2.0 * math.pi)
-        typical_ue = points[ul_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
-
-    probe = int(group_of_bs[ul_bs])
-    if scheme == "duda" and units[probe, 0] == units[probe, 1]:
-        raise TypicalUnpairedError(f"typical BS {ul_bs} is unmatched")
+    probe = int(group_of_bs[probe_bs])
 
     active_dl = gen.uniform(size=len(units)) < delta
 
@@ -327,7 +301,7 @@ def assign_directions_and_ues(
     # stations' units.
     need = all_terminals | ~active_dl | (units[:, 0] != units[:, 1])
     need[probe] = False
-    ues = _uniform_in_groups(points, group_of_bs, len(units), window_half_width, gen, need)
+    ues = _uniform_in_groups(points, group_of_bs, need, window_half_width, gen)
 
     # Orient each unit: the member nearer its terminal receives UL, except
     # in the probe's unit, where the serving station does.  A row (i, i)
@@ -335,13 +309,12 @@ def assign_directions_and_ues(
     if len(pairs):
         d2 = ((points[units] - ues[:, None]) ** 2).sum(axis=2)
         flip = d2[:, 1] < d2[:, 0]
-        flip[probe] = units[probe, 1] == ul_bs
+        flip[probe] = units[probe, 1] == probe_bs
         units[flip] = units[flip, ::-1]
-    ues[probe] = typical_ue
+    ues[probe] = probe_ue
     active_dl[probe] = False
     return Deployment(
-        bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe,
-        degenerate=degenerate,
+        bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe
     )
 
 
@@ -355,10 +328,16 @@ def generate_deployment(
     max_resamples: int = 64,
     all_terminals: bool = True,
 ) -> Tuple[Deployment, int]:
-    """Produce one usable realization, resampling when the probe's serving
-    BS ends up unmatched (decoupled scheme); returns (deployment, resamples).
-    ``all_terminals`` is passed to ``assign_directions_and_ues``.
+    """Produce one usable realization; returns (deployment, resamples).
+
+    A draw is redrawn when it holds fewer than 2 stations, or, for the
+    decoupled scheme, when the probe's serving BS ends the matching
+    unmatched.  ``all_terminals`` is passed to ``assign_directions_and_ues``.
     """
+    if scheme not in ("duda", "duca"):
+        raise ValueError("scheme must be 'duda' or 'duca'")
+    if typical_mode not in ("ul", "dl"):
+        raise ValueError("typical_mode must be 'ul' or 'dl'")
     resamples = sparse = 0
     for attempt in range(max_resamples + 1):
         gen = stream.generator(attempt)
@@ -375,23 +354,20 @@ def generate_deployment(
         else:
             degen = False
             pairs, unpaired = np.empty((0, 2), dtype=int), np.arange(len(pts))
-        try:
-            dep = assign_directions_and_ues(
-                pairs,
-                unpaired,
-                pts,
-                delta,
-                gen,
-                typical_mode,
-                window_half_width=window_half_width,
-                scheme=scheme,
-                lambda_b=lambda_b,
-                degenerate=degen,
-                all_terminals=all_terminals,
-            )
-        except TypicalUnpairedError:
+        probe_bs = int(np.argmin(np.linalg.norm(pts, axis=1)))
+        if scheme == "duda" and (unpaired == probe_bs).any():
             resamples += 1
             continue
+        probe_ue = np.zeros(2)
+        if typical_mode == "ul":
+            r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
+            theta = gen.uniform(0.0, 2.0 * math.pi)
+            probe_ue = pts[probe_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
+        dep = assign_directions_and_ues(
+            pairs, unpaired, pts, delta, gen, probe_bs, probe_ue,
+            window_half_width=window_half_width, all_terminals=all_terminals,
+        )
+        dep.degenerate = degen
         return dep, resamples
     expected = lambda_b * (2.0 * window_half_width) ** 2
     raise NoRealizationError(

@@ -92,6 +92,8 @@ class TrialConfig:
             raise ValueError("iterations must be at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if self.max_attempts > 2**32:
+            raise ValueError("max_attempts must be at most 2**32")
         if self.scheme not in ("duda", "duca"):
             raise ValueError("scheme must be 'duda' or 'duca'")
         if self.attempt_model not in ("independent", "fixed"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy import stats as sps
@@ -255,15 +255,13 @@ def _consistency_se(stats, timing: SlotTiming, scheme: str) -> float:
 
 def run_validation(
     bundle: ConfigBundle,
-    mc_iterations: Optional[int] = None,
     spatial_draws: int = 20000,
     gap_points: int = 10000,
     quadrature_tuples: int = 2000,
-    seed: Optional[int] = None,
 ) -> ValidationReport:
     """Run the full invariant suite; every check reports its measured delta."""
-    seed = bundle.trial.seed if seed is None else seed
-    iters = mc_iterations if mc_iterations is not None else min(bundle.trial.iterations, 4000)
+    seed = bundle.trial.seed
+    iters = min(bundle.trial.iterations, 4000)
     checks: List[ValidationCheck] = []
     checks.append(check_tail_closed_form(bundle.params.alpha, quadrature_tuples, seed))
     checks.append(

@@ -22,6 +22,7 @@ from helpers import brute_force_delaunay_edges, reference_pair_bs, reference_uni
 
 LAMBDA = 0.005
 HALF = 75.0
+ORIGIN = np.zeros(2)
 
 
 class TestSeedWords:
@@ -263,7 +264,7 @@ class TestAssignDirections:
         pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(51).generator())
         dep = assign_directions_and_ues(
             pairs, unpaired, pts, 1.0 - 1e-12, RngStream(52).generator(),
-            "dl", window_half_width=HALF, lambda_b=LAMBDA,
+            int(np.argmin(np.linalg.norm(pts, axis=1))), ORIGIN, window_half_width=HALF,
         )
         single = dep.units[:, 0] == dep.units[:, 1]
         mask = np.arange(len(dep.units)) != dep.probe
@@ -278,8 +279,8 @@ class TestAssignDirections:
         for delta in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 assign_directions_and_ues(
-                    pairs, unpaired, pts, delta, RngStream(55).generator(),
-                    "dl", window_half_width=HALF, lambda_b=LAMBDA,
+                    pairs, unpaired, pts, delta, RngStream(55).generator(), 0, ORIGIN,
+                    window_half_width=HALF,
                 )
 
     def test_rejects_stations_without_a_cell_or_group(self):
@@ -291,26 +292,43 @@ class TestAssignDirections:
             with pytest.raises(ValueError, match="distinct points inside the window"):
                 assign_directions_and_ues(
                     np.empty((0, 2), dtype=int), np.arange(3), points, 0.5,
-                    RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
+                    RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
                 )
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
                 np.empty((0, 2), dtype=int), np.arange(2), outside * 0.5, 0.5,
-                RngStream(56).generator(), "dl", window_half_width=15.0, scheme="duca",
+                RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
             )
 
     @pytest.mark.parametrize("unpaired", [[0, 1, 2, 3], [2, 3, 3], [2, 4]],
                              ids=["overlap", "duplicate", "past_n"])
     def test_rejects_pairs_and_unpaired_that_do_not_partition(self, unpaired):
         # the duplicate once made a unit with no station, whose region has no
-        # area, and placement never ended; the overlap raised
-        # TypicalUnpairedError, which callers take as a reason to resample
+        # area, and placement never ended; the overlap puts stations 0 and 1
+        # in two units each
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
                 np.array([[0, 1]]), np.array(unpaired), pts, 0.5,
-                RngStream(57).generator(), "dl", window_half_width=15.0,
+                RngStream(57).generator(), 0, ORIGIN, window_half_width=15.0,
             )
+
+    @pytest.mark.parametrize("probe_bs", [-1, 4])
+    def test_rejects_probe_station_out_of_range(self, probe_bs):
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match="probe_bs must index"):
+            assign_directions_and_ues(
+                np.array([[0, 1]]), np.array([2, 3]), pts, 0.5,
+                RngStream(58).generator(), probe_bs, ORIGIN, window_half_width=15.0,
+            )
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"scheme": "dcda"}, "scheme must be"),
+        ({"typical_mode": "both"}, "typical_mode must be"),
+    ])
+    def test_generate_rejects_unknown_scheme_or_mode(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_deployment(LAMBDA, 0.5, HALF, RngStream(59), **kwargs)
 
     def test_pair_orientation_follows_terminal(self):
         for seed in range(40):
@@ -414,7 +432,8 @@ class TestTerminalPlacement:
         group_of_bs = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7])
         gen = np.random.default_rng(2024)
         ues = np.array([
-            _uniform_in_groups(self.GRID, group_of_bs, 8, 15.0, gen) for _ in range(4000)
+            _uniform_in_groups(self.GRID, group_of_bs, np.ones(8, dtype=bool), 15.0, gen)
+            for _ in range(4000)
         ])
         stat, dof = 0.0, 0
         for g in range(8):
@@ -438,8 +457,9 @@ class TestTerminalPlacement:
         group_of_bs = np.arange(len(points))
         gen = CountingGenerator(np.random.default_rng(7))
         n = 800
+        every = np.ones(len(points), dtype=bool)
         ues = np.array([
-            _uniform_in_groups(points, group_of_bs, len(points), 15.0, gen)[0] for _ in range(n)
+            _uniform_in_groups(points, group_of_bs, every, 15.0, gen)[0] for _ in range(n)
         ])
         # the loop must outlast a 12-batch cap for most of these placements
         assert gen.calls / n > 12
@@ -466,7 +486,7 @@ class TestTerminalPlacement:
         mask in turn, against the reference from the same state."""
         want = reference_uniform_in_groups(points, group_of_bs, n_groups, half, copy.deepcopy(gen))
         for need in masks:
-            got = _uniform_in_groups(points, group_of_bs, n_groups, half, copy.deepcopy(gen), need)
+            got = _uniform_in_groups(points, group_of_bs, need, half, copy.deepcopy(gen))
             assert np.array_equal(got[need], want[need])
             assert np.isnan(got[~need]).all()
 

@@ -8,6 +8,7 @@ import pytest
 
 from dudasim.cli import main
 from dudasim.config import parse_config
+from dudasim.params import TrialConfig
 from dudasim.sweep import rows_to_csv, run_sweep
 from dudasim.validation import check_gap_identity, check_tail_closed_form, run_validation
 
@@ -262,6 +263,28 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "configuration error: line 1: iterations must be at most 2**32\n")
+
+    @pytest.mark.parametrize("doc", [
+        # once an OverflowError traceback (exit 1) in the retry kernel
+        "max_attempts = 10000000000000000000\niterations = 20\n",
+        # once exit 0 with attempts of -2**63: 1 + retries wrapped in int64
+        "max_attempts = 9223372036854775807\nattempt_model = fixed\nbeta_u_db = 200\n"
+        "iterations = 20\n",
+    ])
+    def test_more_than_2_32_max_attempts_exit_2(self, tmp_path: Path, capsys, doc):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(doc)
+        samples = tmp_path / "samples.csv"
+        args = ["simulate", "--config", str(cfg), "--samples-out", str(samples)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: line 1: max_attempts must be at most 2**32\n")
+        assert not samples.exists()
+
+    def test_2_32_max_attempts_accepted(self):
+        assert parse_config(f"max_attempts = {2**32}\n").trial.max_attempts == 2**32
+        with pytest.raises(ValueError, match="max_attempts must be at most 2"):
+            TrialConfig(max_attempts=2**32 + 1)
 
     @pytest.mark.parametrize("command, flags, setting, message", [
         ("analytic", (), "alpha = inf", "line 2: alpha must be finite"),

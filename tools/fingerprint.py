@@ -12,6 +12,7 @@ directory with only that tree's ``src`` on the path:
 - ``snapshot --seed 0..3`` for each scheme and typical mode;
 - ``simulate`` for each scheme, attempt model (``fixed`` with and without
   ``direction_redraw``) and typical mode, with ``--samples-out``;
+- ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
 - one small ``sweep --mode both`` per sweep variable, and one sweep per
   variable that leaves its domain (exit 2 and its message);
 - a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
@@ -61,6 +62,11 @@ def cases():
                             CLI + ["simulate", "--scheme", scheme, "--iterations", "150",
                                    "--samples-out", "samples.csv"],
                             doc, ["samples.csv"]))
+    for big, rest in (("10000000000000000000", ""),
+                      ("9223372036854775807", "attempt_model = fixed\nbeta_u_db = 200\n")):
+        out.append((f"simulate max_attempts = {big} (out of domain)",
+                    CLI + ["simulate", "--samples-out", "samples.csv"],
+                    f"max_attempts = {big}\n{rest}iterations = 20\n", ["samples.csv"]))
     for sweep in ("s_u:0.1:0.9:3", "rho_product:0.2:1:3", "delta:0.2:0.8:3",
                   "lambda_b:0.002:0.006:3", "beta_u_db:-5:5:3", "beta_d_db:-5:5:3"):
         out.append((f"sweep {sweep}",
