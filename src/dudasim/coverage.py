@@ -52,15 +52,21 @@ from .quadrature import integrate_finite, interference_tail_integral
 
 
 def nearest_distance_cdf(r, lam: float):
-    r = np.asarray(r, dtype=float)
-    out = 1.0 - np.exp(-np.pi * lam * r * r)
-    return out if out.ndim else float(out)
+    return _distance_cdf(1, r, lam)
 
 
 def second_nearest_distance_cdf(d, lam: float):
+    return _distance_cdf(2, d, lam)
+
+
+def _distance_cdf(n: int, d, lam: float):
+    """P(the n-th nearest station lies within d): in u = pi*lam*d^2 the
+    regularized lower incomplete gamma P(n, u), exactly 1 at d = inf.
+    scipy.special is imported here, not by ``import dudasim``."""
+    from scipy.special import gammainc
+
     d = np.asarray(d, dtype=float)
-    x = np.pi * lam * d * d
-    out = 1.0 - np.exp(-x) * (1.0 + x)
+    out = gammainc(n, np.pi * lam * d * d)
     return out if out.ndim else float(out)
 
 

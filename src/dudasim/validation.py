@@ -3,10 +3,16 @@ quadrature, spatial statistics, latency-identity grids, and
 analytic-vs-Monte-Carlo cross-validation.
 
 Each check reports its measured quantity against its threshold so a
-failure is quantified, not just flagged.  At the default parameters the
-analytic DL success probability is known to sit well above the simulated
-one (the DL expression is an approximation by construction), so the
-cross-validation checks report honest failures there; see the README.
+failure is quantified, not just flagged.  The spatial checks read the
+station count and the two nearest distances to the origin from
+``deployment.sample_ppp``, the sampler the campaigns use.  On correct code
+the statistical checks still fail now and then by design: each of the three
+spatial checks is a 1% test, about 3% per run together, and each
+latency self-consistency check is a 3 SE test, about 0.3% under normality.
+At the default parameters the analytic DL success probability is known to
+sit well above the simulated one (the DL expression is an approximation by
+construction), so the cross-validation checks report honest failures there;
+see the README.
 """
 
 from __future__ import annotations
@@ -97,15 +103,30 @@ def check_tail_closed_form(alpha: float, n_tuples: int, seed: int) -> Validation
     return ValidationCheck("tail_closed_form_vs_quadpack", worst <= 1e-10, worst, 1e-10)
 
 
-def check_ppp_counts(lambda_b: float, half_width: float, draws: int, seed: int) -> ValidationCheck:
-    realized = np.array([
-        len(sample_ppp(lambda_b, half_width, RngStream(seed, i).generator()))
-        for i in range(draws)
-    ])
-    pval = _poisson_chi_square(realized, lambda_b * (2 * half_width) ** 2)
-    return ValidationCheck(
-        "ppp_count_chi_square", pval > 0.01, pval, 0.01, detail="p-value"
-    )
+def check_spatial_laws(
+    lambda_b: float, half_width: float, draws: int, seed: int
+) -> List[ValidationCheck]:
+    """The Poisson station count and the nearest and second-nearest distance
+    laws at the origin, read in one pass from `draws` realizations of
+    ``sample_ppp``, realization i drawn on stream (seed, i).  A realization
+    with fewer than two stations has +inf for each missing distance; nothing
+    is redrawn."""
+    counts = np.empty(draws, dtype=np.int64)
+    two = np.full((draws, 2), np.inf)
+    for i in range(draws):
+        pts = sample_ppp(lambda_b, half_width, RngStream(seed, i).generator())
+        counts[i] = len(pts)
+        d2 = np.sort(pts[:, 0] ** 2 + pts[:, 1] ** 2)[:2]
+        two[i, : len(d2)] = d2
+    nearest, second = np.sqrt(two).T
+    p0 = _poisson_chi_square(counts, lambda_b * (2 * half_width) ** 2)
+    p1 = sps.kstest(nearest, lambda r: nearest_distance_cdf(r, lambda_b)).pvalue
+    p2 = sps.kstest(second, lambda d: second_nearest_distance_cdf(d, lambda_b)).pvalue
+    return [
+        ValidationCheck(name, float(p) > 0.01, float(p), 0.01, detail="p-value")
+        for name, p in (("ppp_count_chi_square", p0), ("nearest_distance_ks", p1),
+                        ("second_nearest_distance_ks", p2))
+    ]
 
 
 def _poisson_chi_square(counts: np.ndarray, mean: float) -> float:
@@ -139,40 +160,6 @@ def _poisson_chi_square(counts: np.ndarray, mean: float) -> float:
     expected *= n / np.sum(expected)
     stat = float(np.sum((obs - expected) ** 2 / expected))
     return float(sps.chi2.sf(stat, len(obs) - 1))
-
-
-def spatial_distance_samples(
-    lambda_b: float, half_width: float, draws: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest and second-nearest distances from the origin across
-    independent PPP realizations, sampled in bulk."""
-    gen = np.random.default_rng([seed, 0xD1])
-    side = 2.0 * half_width
-    counts = gen.poisson(lambda_b * side * side, size=draws)
-    nearest = np.empty(draws)
-    second = np.empty(draws)
-    for i, n in enumerate(counts):
-        n = int(n)
-        while n < 2:  # essentially unreachable at the default intensity
-            n = int(gen.poisson(lambda_b * side * side))
-        pts = gen.uniform(-half_width, half_width, size=(n, 2))
-        d2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        two = np.partition(d2, 1)[:2]
-        nearest[i] = math.sqrt(two.min())
-        second[i] = math.sqrt(two.max())
-    return nearest, second
-
-
-def check_distance_laws(
-    lambda_b: float, half_width: float, draws: int, seed: int
-) -> List[ValidationCheck]:
-    nearest, second = spatial_distance_samples(lambda_b, half_width, draws, seed)
-    p1 = sps.kstest(nearest, lambda r: nearest_distance_cdf(r, lambda_b)).pvalue
-    p2 = sps.kstest(second, lambda d: second_nearest_distance_cdf(d, lambda_b)).pvalue
-    return [
-        ValidationCheck("nearest_distance_ks", p1 > 0.01, float(p1), 0.01, detail="p-value"),
-        ValidationCheck("second_nearest_distance_ks", p2 > 0.01, float(p2), 0.01, detail="p-value"),
-    ]
 
 
 def check_gap_identity(n_points: int, seed: int) -> ValidationCheck:
@@ -224,13 +211,21 @@ def check_analytic_vs_simulation(bundle: ConfigBundle, stats) -> List[Validation
 def check_self_consistency(bundle: ConfigBundle, campaign_stats: dict) -> List[ValidationCheck]:
     out = []
     for scheme, stats in campaign_stats.items():
+        name = f"latency_self_consistency_{scheme}"
         link = LinkSuccess(stats.empirical_rho_u, stats.empirical_rho_d)
+        if link.rho_u * link.rho_d == 0:  # the closed form diverges
+            out.append(ValidationCheck(
+                name, False, math.inf, math.nan,
+                detail=f"empirical rho_u={link.rho_u:.4f} rho_d={link.rho_d:.4f}: "
+                "a zero rho leaves no closed form to compare with",
+            ))
+            continue
         form = closed_form(scheme, bundle.timing, link).total
         se = _consistency_se(stats, bundle.timing, scheme)
         diff = abs(stats.mean - form)
         out.append(
             ValidationCheck(
-                f"latency_self_consistency_{scheme}", diff <= 3 * se, diff, 3 * se,
+                name, diff <= 3 * se, diff, 3 * se,
                 detail=f"sampled={stats.mean:.3f} closed_form={form:.3f}",
             )
         )
@@ -264,11 +259,8 @@ def run_validation(
     iters = min(bundle.trial.iterations, 4000)
     checks: List[ValidationCheck] = []
     checks.append(check_tail_closed_form(bundle.params.alpha, quadrature_tuples, seed))
-    checks.append(
-        check_ppp_counts(bundle.params.lambda_b, bundle.trial.window_half_width, spatial_draws, seed)
-    )
     checks.extend(
-        check_distance_laws(bundle.params.lambda_b, bundle.trial.window_half_width, spatial_draws, seed)
+        check_spatial_laws(bundle.params.lambda_b, bundle.trial.window_half_width, spatial_draws, seed)
     )
     checks.append(check_gap_identity(gap_points, seed))
     campaigns = {

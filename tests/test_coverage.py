@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,15 @@ class TestDistanceLaws:
             assert v == pytest.approx(second_nearest_distance_cdf(d, lam), rel=1e-9)
             v1, _ = quad(lambda x: nearest_distance_pdf(x, lam), 0, d)
             assert v1 == pytest.approx(nearest_distance_cdf(d, lam), rel=1e-9)
+
+
+    def test_cdfs_are_one_at_infinity(self):
+        # an empty window's missing distances are +inf in validate's KS tests
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cdf in (nearest_distance_cdf, second_nearest_distance_cdf):
+                assert cdf(np.inf, 0.005) == 1.0
+                assert cdf(np.array([0.0, np.inf]), 0.005).tolist() == [0.0, 1.0]
 
 
 class TestLaplaceLimits:

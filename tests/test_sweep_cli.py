@@ -10,7 +10,9 @@ from dudasim.cli import main
 from dudasim.config import parse_config
 from dudasim.params import TrialConfig
 from dudasim.sweep import rows_to_csv, run_sweep
-from dudasim.validation import check_gap_identity, check_tail_closed_form, run_validation
+from dudasim.validation import (
+    check_gap_identity, check_spatial_laws, check_tail_closed_form, run_validation,
+)
 
 
 def sweep_rows(text, **overrides):
@@ -194,15 +196,28 @@ class TestValidationModule:
         text = report.text()
         assert "FAIL" in text and "overall" in text
 
-    @pytest.mark.slow
-    def test_statistical_checks_robust_to_seed(self):
-        from dudasim.validation import check_distance_laws, check_ppp_counts
+    def test_spatial_checks_read_sample_ppp(self, monkeypatch):
+        # positions shrunk by 3% keep the count law and break both distance laws
+        from dudasim import validation
 
+        real = validation.sample_ppp
+        monkeypatch.setattr(validation, "sample_ppp", lambda *args: 0.97 * real(*args))
+        count, nearest, second = check_spatial_laws(0.005, 75.0, 4000, seed=0)
+        assert count.passed, count.line()
+        assert not nearest.passed, nearest.line()
+        assert not second.passed, second.line()
+
+    @pytest.mark.slow
+    def test_statistical_checks_false_alarm_rate(self):
+        # on correct code the three 1% tests fire about Binomial(60, 0.01)
+        # times over 20 seeds; P(>= 5 fires) = 3.5e-4
+        fires = sum(
+            not c.passed for seed in range(20)
+            for c in check_spatial_laws(0.005, 75.0, 4000, seed=seed)
+        )
+        assert fires <= 4
         for seed in (101, 202):
             assert check_gap_identity(2000, seed=seed).passed
-            assert check_ppp_counts(0.005, 75.0, 4000, seed=seed).passed
-            for c in check_distance_laws(0.005, 75.0, 6000, seed=seed):
-                assert c.passed, c.line()
 
 
 class TestGeneralPathLossExponent:
@@ -337,6 +352,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "configuration error: no usable realization in 65 draws: 65 had fewer than 2"
         )
+
+    def test_validate_window_too_small_exits_2(self, tmp_path: Path):
+        # the spatial checks give an empty window +inf distances, not a
+        # redraw, so the campaigns are reached and exit 2 as simulate does
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("window_side = 1\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "dudasim.cli", "validate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error: no usable realization")
+
+    def test_validate_zero_empirical_rho_fails_without_traceback(self, tmp_path: Path):
+        # duca's empirical rho_u is 0 in 200 trials at beta_u = 40 dB, so its
+        # closed form diverges
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("beta_u_db = 40\n")
+        out = self.run_cli("validate", "--iterations", "200", "--config", str(cfg))
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        line = next(x for x in out.stdout.splitlines() if "self_consistency_duca" in x)
+        assert line.startswith("FAIL ") and "empirical rho_u=0.0000" in line
 
     def test_campaign_resample_cap_exits_2(self, tmp_path: Path, capsys):
         # 0.5 stations expected in a 10 m window: most draws hold fewer than

@@ -16,14 +16,18 @@ directory with only that tree's ``src`` on the path:
 - one small ``sweep --mode both`` per sweep variable, and one sweep per
   variable that leaves its domain (exit 2 and its message);
 - a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
-- ``validate --iterations 500``;
+- ``validate --iterations 500``; ``validate`` in a 1 m window (exit 2 and
+  its message); ``validate --iterations 200`` at ``beta_u_db = 40``, where
+  duca's empirical UL success probability is 0;
 - demo 03's stdout and the CSV it writes.
 
 Each output (a run's exit status with its stdout, its stderr when either
 side wrote any, and each file it wrote) gets one line: its sha256 on the
 change, "same" or the parent's digest, and its name.  The exit status is 1
-when any output differs.  Two worker threads run the subprocesses; the
-whole set takes about a minute on a 2-core host.
+when any output differs.  A run still going after TIMEOUT_S (120) seconds
+is killed, and its stdout reads "timed out after 120 s".  Two worker
+threads run the subprocesses; the whole set takes about a minute on a
+2-core host.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from pathlib import Path
 from bench_pair import ROOT, export, git
 
 CLI = ["-m", "dudasim.cli"]
+TIMEOUT_S = 120
 
 
 def cases():
@@ -79,6 +84,9 @@ def cases():
                 CLI + ["sweep", "--sweep", "s_u:0.1:0.9:2", "--mode", "simulate"],
                 "window_side = 1\n", []))
     out.append(("validate", CLI + ["validate", "--iterations", "500"], "", []))
+    out.append(("validate window_side=1", CLI + ["validate"], "window_side = 1\n", []))
+    out.append(("validate beta_u_db=40 (duca rho_u = 0)",
+                CLI + ["validate", "--iterations", "200"], "beta_u_db = 40\n", []))
     out.append(("demo 03", ["demos/03_deployment_snapshot.py"], None,
                 ["deployment_snapshot.csv"]))
     return out
@@ -95,10 +103,15 @@ def run(tree: Path, case) -> dict:
         else:  # a script of the tree
             argv = [str(tree / argv[0])] + argv[1:]
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
-        outputs = {"stdout": b"exit %d\n" % proc.returncode + proc.stdout,
-                   # a traceback names the tree's own paths
-                   "stderr": proc.stderr.replace(str(tree).encode(), b"<tree>")}
+        try:
+            proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                                  capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            outputs = {"stdout": b"timed out after %d s\n" % TIMEOUT_S, "stderr": b""}
+        else:
+            outputs = {"stdout": b"exit %d\n" % proc.returncode + proc.stdout,
+                       # a traceback names the tree's own paths
+                       "stderr": proc.stderr.replace(str(tree).encode(), b"<tree>")}
         for f in files:
             path = cwd / f
             outputs[f] = path.read_bytes() if path.exists() else b"<missing>"
