@@ -102,7 +102,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 
 def _cmd_analytic(args, bundle: ConfigBundle) -> int:
-    link = bundle.forced_link or analytic_link(bundle.params, bundle.include_noise)
+    link = bundle.forced_link or analytic_link(bundle.params)
     lines = ["scheme,rho_u,rho_d,protocol,retransmission,fundamental,total"]
     for scheme in bundle.sweep.schemes:
         b = closed_form(scheme, bundle.timing, link)

@@ -1,13 +1,14 @@
 """Configuration parsing: flat key=value documents with '#' comments.
 
 Each documented key sets one field of the ``params`` dataclasses
-(``SystemParams``, ``SlotTiming``, ``TrialConfig``), of ``SweepSpec`` or of
-the bundle, converting dB/dBm values to linear units here at the IO
-boundary.  Unset keys keep the defaults those dataclasses declare: the
-standard parameter table, slot timing in slot units, 10^4 iterations and a
-150 m square observation window.  Values arriving through CLI flags are
-merged as overrides before validation: flags override the file, the file
-overrides defaults.
+(``SystemParams``, ``SlotTiming``, ``TrialConfig``) or of ``SweepSpec``,
+converting dB/dBm values to linear units here at the IO boundary; only
+``noise = on`` sets ``noise_power``, to ``noise_dbm`` or ``THERMAL_NOISE_DBM``.
+Unset keys keep the defaults those dataclasses declare: the standard
+parameter table, slot timing in slot units, 10^4 iterations and a 150 m
+square observation window.  Values arriving through CLI flags are merged as
+overrides before validation: flags override the file, the file overrides
+defaults.
 
 A sweep point is one more key assignment: ``at_point`` sets the swept key's
 field through the same table and conversion, and ``check_sweep`` bounds a
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from .params import (
+    THERMAL_NOISE_DBM,
     LinkSuccess,
     SlotTiming,
     SystemParams,
@@ -60,7 +62,6 @@ class SweepSpec:
 class ConfigBundle:
     trial: TrialConfig
     sweep: SweepSpec
-    include_noise: bool = False
     forced_link: LinkSuccess | None = None  # direct (rho_u, rho_d) override
 
     @property
@@ -84,7 +85,7 @@ _KEYS = {
     "beta_d_db": (float, "params", "beta_d", db_to_linear),
     "p_b_dbm": (float, "params", "p_b", dbm_to_watts),
     "p_m_dbm": (float, "params", "p_m", dbm_to_watts),
-    "noise_dbm": (float, "params", "noise_power", dbm_to_watts),
+    "noise_dbm": (float, "noise", "noise_power", dbm_to_watts),
     "t_d": (float, "timing", "t_d", None),
     "t_u": (float, "timing", "t_u", None),
     "s_u": (float, "timing", "s_u", None),
@@ -104,7 +105,7 @@ _KEYS = {
     "sweep_start": (float, "sweep", "start", None),
     "sweep_stop": (float, "sweep", "stop", None),
     "sweep_steps": (int, "sweep", "steps", None),
-    "noise": (_ON_OFF, "bundle", "include_noise", lambda v: v == "on"),
+    "noise": (_ON_OFF, "noise", "on", lambda v: v == "on"),
     "rho_u": (float, "link", "rho_u", None),
     "rho_d": (float, "link", "rho_d", None),
 }
@@ -171,7 +172,7 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     """Materialize a validated configuration bundle from raw key/value pairs."""
     vals = {key: _typed(key, raw, line) for key, (raw, line) in kv.items()}
     given: Dict[str, Dict[str, object]] = {
-        group: {} for group in ("params", "timing", "trial", "sweep", "bundle", "link")
+        group: {} for group in ("params", "timing", "trial", "sweep", "noise", "link")
     }
     lines: Dict[str, int] = {}
     for key, value in vals.items():
@@ -179,6 +180,9 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         given[group][field] = _convert(key, value, kv[key][1])
         # validate() names the field, the checks below name the key
         lines[key] = lines[field] = kv[key][1]
+    noise = given["noise"]
+    if noise.get("on"):
+        given["params"]["noise_power"] = noise.get("noise_power", dbm_to_watts(THERMAL_NOISE_DBM))
 
     params = SystemParams(**given["params"])
     timing = SlotTiming(**given["timing"])
@@ -191,7 +195,7 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
 
     sweep = SweepSpec(**given["sweep"])
     trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
-    bundle = ConfigBundle(trial, sweep, **given["bundle"])
+    bundle = ConfigBundle(trial, sweep)
     # only `dudasim sweep` reads the sweep, and run_sweep checks a default one
     if any(key.startswith("sweep_") for key in vals):
         check_sweep(sweep, bundle, lines)

@@ -2,13 +2,13 @@
 
 Under Rayleigh fading, the probability that a link's SINR clears its
 threshold beta is the Laplace functional of the interference at
-s = beta * r^alpha / P_signal (times exp(-s*sigma^2) with noise).  A Poisson
-field of density lambda' with power ratio kappa to the signal, excluded
-within a, contributes exp(-2*pi*lambda'*T), where T is the interference tail
-of the quadrature module; it scales as T = r^2 * T(kappa, beta, a/r) with
-T(kappa, beta, a) the tail at r = 1.  A pair serves one active link, so of
-the pair density 0.5*lambda_b a fraction delta transmits in DL and 1-delta
-in UL:
+s = beta * r^alpha / P_signal, times exp(-s*sigma^2) for a noise power
+sigma^2 = ``params.noise_power``.  A Poisson field of density lambda' with
+power ratio kappa to the signal, excluded within a, contributes
+exp(-2*pi*lambda'*T), where T is the interference tail of the quadrature
+module; it scales as T = r^2 * T(kappa, beta, a/r) with T(kappa, beta, a)
+the tail at r = 1.  A pair serves one active link, so of the pair density
+0.5*lambda_b a fraction delta transmits in DL and 1-delta in UL:
 
 * UL data, received at the serving (nearest) BS at distance r: interference
   from other pairs' DL base stations (density 0.5*delta*lambda_b, power
@@ -32,13 +32,12 @@ integrals, taken to infinity without truncation:
     rho_u = int_0^inf w * M_3(B(w)) dw,  w = (t/r)^2,
     B(w)  = 1 + (1-delta)*T(1, beta_u, 1) + w + delta*T(p_b/p_m, beta_u, sqrt(w))
 
-with M_n(B) = int_0^inf u^(n-1) exp(-B*u - nu*u^(alpha/2)) du.  Without noise
-(nu = 0) M_n(B) = Gamma(n)/B^n exactly: DL is closed form and UL is one
-quadrature over w.  Noise is off by default, matching the
-interference-limited closed forms; ``include_noise=True`` sets
-nu = beta*sigma^2/P_signal / (pi*lambda_b)^(alpha/2), and M_n becomes a
-quadrature too.  At the default powers noise changes either probability by
-less than 1e-10.
+with M_n(B) = int_0^inf u^(n-1) exp(-B*u - nu*u^(alpha/2)) du and
+nu = beta*sigma^2/P_signal / (pi*lambda_b)^(alpha/2).  Noise is off by
+default (sigma^2 = 0, so nu = 0), matching the interference-limited closed
+forms: M_n(B) = Gamma(n)/B^n exactly, DL is closed form and UL is one
+quadrature over w.  With noise, M_n becomes a quadrature too; at the default
+powers thermal noise changes either probability by less than 1e-10.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ def _distance_cdf(n: int, d, lam: float):
     return out if out.ndim else float(out)
 
 
-def _noise_nu(params: SystemParams, beta: float, power: float, include_noise: bool) -> float:
-    """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2)."""
-    if not include_noise:
+def _noise_nu(params: SystemParams, beta: float, power: float) -> float:
+    """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2); 0 with noise off."""
+    if params.noise_power == 0.0:
         return 0.0
     return beta * params.noise_power / power / (math.pi * params.lambda_b) ** (params.alpha / 2)
 
@@ -90,14 +89,14 @@ def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> float:
     return integrate_finite(integrand, 0.0, 1.0, f"noise-on Gamma moment M_{n}") / b**n
 
 
-def ul_success_probability(params: SystemParams, include_noise: bool = False) -> float:
+def ul_success_probability(params: SystemParams) -> float:
     """Probability that a typical UL data transmission clears beta_u:
     int_0^inf w*M_3(B(w)) dw, one quadrature over the partner-distance
     ratio w, mapped onto [0, 1) by w = b0*x/(1-x)."""
     alpha, delta, beta = params.alpha, params.delta, params.beta_u
     kappa = params.p_b / params.p_m
     b0 = 1.0 + (1.0 - delta) * interference_tail_integral(1.0, beta, 1.0, alpha, 1.0)
-    nu = _noise_nu(params, beta, params.p_m, include_noise)
+    nu = _noise_nu(params, beta, params.p_m)
 
     def integrand(x: float) -> float:
         w = b0 * x / (1.0 - x)
@@ -107,11 +106,11 @@ def ul_success_probability(params: SystemParams, include_noise: bool = False) ->
     return integrate_finite(integrand, 0.0, 1.0, "UL success probability integral")
 
 
-def dl_success_probability(params: SystemParams, include_noise: bool = False) -> float:
+def dl_success_probability(params: SystemParams) -> float:
     """Probability that a typical DL ACK transmission clears beta_d:
     M_2(1 + K), which is 1/(1+K)^2 without noise."""
     alpha, delta, beta = params.alpha, params.delta, params.beta_d
     tail_bs = interference_tail_integral(1.0, beta, 1.0, alpha, 1.0)
     tail_ue = interference_tail_integral(params.p_m / params.p_b, beta, 1.0, alpha, 0.0)
     k = delta * tail_bs + (1.0 - delta) * tail_ue
-    return _gamma_moment(2, 1.0 + k, _noise_nu(params, beta, params.p_b, include_noise), alpha)
+    return _gamma_moment(2, 1.0 + k, _noise_nu(params, beta, params.p_b), alpha)

@@ -13,13 +13,14 @@ deployment passes a direction with the exact probability
 
     exp(-beta*sigma^2/S - sum_k log1p(beta*c_k/S)),
 
-where S is the received signal power and c_k the power each interfering
-unit delivers to the receiver from its active transmitter (its DL base
-station or its terminal).  This is the conditional success probability
-behind the SINR meta distribution (Haenggi, IEEE TWC 2016).  Each
-deployment is reduced to these numbers as soon as it is generated; the
-retry loop then needs only Bernoulli and geometric draws, done for the
-whole campaign at once.
+where S is the received signal power, sigma^2 the noise power
+``params.noise_power`` (0 with noise off, as in the analysis), and c_k the
+power each interfering unit delivers to the receiver from its active
+transmitter (its DL base station or its terminal).  This is the
+conditional success probability behind the SINR meta distribution
+(Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers as
+soon as it is generated; the retry loop then needs only Bernoulli and
+geometric draws, done for the whole campaign at once.
 
 Attempt models
 --------------

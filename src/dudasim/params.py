@@ -6,9 +6,10 @@ in abstract slot units with both slot durations defaulting to 1.
 
 Note on symbols: the standard parameter table uses ``W`` both for the system
 bandwidth and for the ACK waiting time of the decoupled scheme.  Only the
-latter is a parameter here, ``SlotTiming.w``: the bandwidth is 1 Hz, so the
-noise power ``SystemParams.noise_power`` equals the -174 dBm/Hz spectral
-density.
+latter is a parameter here, ``SlotTiming.w``: the bandwidth is 1 Hz, so
+thermal noise, ``THERMAL_NOISE_DBM`` of -174 dBm/Hz, is a -174 dBm noise
+power.  ``SystemParams.noise_power`` is the one noise setting, read by the
+analysis and the simulation alike; its default, 0, is noise off.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+THERMAL_NOISE_DBM = -174.0  # what ``noise = on`` applies unless noise_dbm is given
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and geometry constants of the network model.
@@ -39,7 +43,7 @@ class SystemParams:
         integrals to converge.
     beta_u, beta_d : UL and DL SINR thresholds (linear).
     p_b, p_m : BS and UE transmit powers in watts.
-    noise_power : noise power sigma^2 in watts.
+    noise_power : noise power sigma^2 in watts; 0 (the default) is noise off.
     """
 
     lambda_b: float = 0.005
@@ -49,7 +53,7 @@ class SystemParams:
     beta_d: float = db_to_linear(-5.0)     # -5 dB
     p_b: float = dbm_to_watts(40.0)        # 10 W
     p_m: float = dbm_to_watts(20.0)        # 0.1 W
-    noise_power: float = dbm_to_watts(-174.0)
+    noise_power: float = 0.0
 
 
 @dataclass(frozen=True)

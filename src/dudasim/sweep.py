@@ -66,12 +66,9 @@ def _point_seed(seed: int, point: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def analytic_link(params: SystemParams, include_noise: bool) -> LinkSuccess:
+def analytic_link(params: SystemParams) -> LinkSuccess:
     """The stochastic-geometry success probabilities of both directions."""
-    return LinkSuccess(
-        ul_success_probability(params, include_noise=include_noise),
-        dl_success_probability(params, include_noise=include_noise),
-    )
+    return LinkSuccess(ul_success_probability(params), dl_success_probability(params))
 
 
 def closed_form(scheme: str, timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
@@ -117,7 +114,7 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
                 try:
                     if mode == "analytic":
                         if forced is None and params not in links:
-                            links[params] = analytic_link(params, bundle.include_noise)
+                            links[params] = analytic_link(params)
                         link = forced or links[params]
                         row = SweepRow(
                             spec.variable, value, scheme, "analytic",

@@ -16,21 +16,15 @@ import sys
 import time
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from dudasim.config import parse_config
-from dudasim.coverage import (
-    dl_success_probability,
-    nearest_distance_cdf,
-    second_nearest_distance_cdf,
-    ul_success_probability,
-)
-from dudasim.deployment import RngStream, sample_ppp
+from dudasim.coverage import dl_success_probability, ul_success_probability
 from dudasim.latency import latency_duca, latency_duda, latency_gap
 from dudasim.montecarlo import TrialConfig, run_campaign
 from dudasim.params import LinkSuccess, SlotTiming, SystemParams
 from dudasim.quadrature import interference_tail_integral
 from dudasim.sweep import run_sweep
+from dudasim.validation import check_spatial_laws
 
 TABLE = SystemParams()
 TIMING = SlotTiming()
@@ -153,54 +147,11 @@ def test_criterion_4_quadrature_closed_form():
 
 @pytest.mark.slow
 def test_criterion_5_spatial_statistics():
+    # the station count and both distance laws, read in one pass from
+    # sample_ppp realizations, as `dudasim validate` does
     t0 = time.perf_counter()
-    n = 100000
-    lam, half = TABLE.lambda_b, 75.0
-    gen = RngStream(5).generator()
-    counts = np.empty(n, dtype=int)
-    nearest = np.empty(n)
-    second = np.empty(n)
-    for i in range(n):
-        pts = sample_ppp(lam, half, gen)
-        while len(pts) < 2:
-            pts = sample_ppp(lam, half, gen)
-        counts[i] = len(pts)
-        d2 = np.partition(pts[:, 0] ** 2 + pts[:, 1] ** 2, 1)[:2]
-        nearest[i] = math.sqrt(d2.min())
-        second[i] = math.sqrt(d2.max())
-
-    mean = lam * (2 * half) ** 2
-    # chi-square with tails pooled to expected counts >= 5
-    lo = int(sps.poisson.ppf(1e-4, mean))
-    hi = int(sps.poisson.ppf(1 - 1e-4, mean))
-    edges = np.arange(lo, hi + 1)
-    exp = np.concatenate((
-        [sps.poisson.cdf(lo - 1, mean)],
-        sps.poisson.pmf(edges, mean),
-        [sps.poisson.sf(hi, mean)],
-    )) * n
-    obs = np.concatenate((
-        [np.sum(counts < lo)],
-        [np.sum(counts == k) for k in edges],
-        [np.sum(counts > hi)],
-    )).astype(float)
-    keep_e, keep_o, acc_e, acc_o = [], [], 0.0, 0.0
-    for e, o in zip(exp, obs):
-        acc_e += e
-        acc_o += o
-        if acc_e >= 5.0:
-            keep_e.append(acc_e)
-            keep_o.append(acc_o)
-            acc_e = acc_o = 0.0
-    if acc_e:
-        keep_e[-1] += acc_e
-        keep_o[-1] += acc_o
-    keep_e = np.array(keep_e) * (n / np.sum(keep_e))
-    stat = float(np.sum((np.array(keep_o) - keep_e) ** 2 / keep_e))
-    p_count = float(sps.chi2.sf(stat, len(keep_e) - 1))
-
-    p_near = sps.kstest(nearest, lambda r: nearest_distance_cdf(r, lam)).pvalue
-    p_second = sps.kstest(second, lambda d: second_nearest_distance_cdf(d, lam)).pvalue
+    count, near, second = check_spatial_laws(TABLE.lambda_b, 75.0, 100000, 5)
+    p_count, p_near, p_second = count.measured, near.measured, second.measured
     elapsed = time.perf_counter() - t0
     passed = p_count > 0.01 and p_near > 0.01 and p_second > 0.01 and elapsed < 60.0
     report(

@@ -35,12 +35,11 @@ class TestDefaults:
         assert b.params.beta_d == pytest.approx(10 ** -0.5)
         assert b.params.p_b == pytest.approx(10.0)
         assert b.params.p_m == pytest.approx(0.1)
-        assert b.params.noise_power == pytest.approx(10 ** -20.4, abs=0.0)
+        assert b.params.noise_power == 0.0
         assert b.trial.iterations == 10000
         assert b.trial.window_half_width == pytest.approx(75.0)
         assert b.timing.t_d == 1.0 and b.timing.t_u == 1.0
         assert b.timing.w == 1.0
-        assert not b.include_noise
 
     def test_comments_and_blanks(self):
         text = "\n# a comment\n  \ndelta = 0.25  # trailing comment\n"
@@ -153,8 +152,13 @@ class TestOverrides:
             parse_config("", overrides={"alpha": "1.5"})
 
     def test_noise_toggle(self):
-        assert parse_config("noise = on\n").include_noise
-        assert not parse_config("noise = off\n").include_noise
+        # noise = on applies noise_dbm, -174 dBm unless given; noise off is sigma^2 = 0
+        assert parse_config("noise = on\n").params.noise_power == pytest.approx(10 ** -20.4, abs=0.0)
+        assert parse_config("noise = off\n").params.noise_power == 0.0
+        assert parse_config("noise_dbm = -20\n").params.noise_power == 0.0
+        assert parse_config("noise_dbm = -20\nnoise = off\n").params.noise_power == 0.0
+        on = parse_config("noise_dbm = -20\nnoise = on\n")
+        assert on.params.noise_power == pytest.approx(1e-5, rel=1e-15)
 
 
 class TestForcedLink:

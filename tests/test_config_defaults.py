@@ -10,7 +10,7 @@ def test_empty_document_gives_the_dataclass_defaults():
     assert bundle.timing == SlotTiming()
     assert bundle.sweep == SweepSpec()
     assert bundle.trial == TrialConfig()
-    assert not bundle.include_noise and bundle.forced_link is None
+    assert bundle.params.noise_power == 0.0 and bundle.forced_link is None
 
 
 def test_params_and_timing_are_the_trials():

@@ -13,7 +13,7 @@ from dudasim.coverage import (
     second_nearest_distance_cdf,
     ul_success_probability,
 )
-from dudasim.params import SystemParams, db_to_linear, dbm_to_watts
+from dudasim.params import THERMAL_NOISE_DBM, SystemParams, db_to_linear, dbm_to_watts
 from dudasim.quadrature import interference_tail_integral
 
 from helpers import (
@@ -81,15 +81,15 @@ def ul_dl_bs_functional(r, params, densities=None):
     return value
 
 
-def nested_success_probabilities(params, densities=None, include_noise=False):
+def nested_success_probabilities(params, densities=None):
     """(rho_u, rho_d) as nested integrals, serving distance r outside (over
     its distance law) and partner distance t inside, untruncated, with the
-    noise factor exp(-beta r^alpha sigma^2 / P) when asked: an independent
-    reference for the package's Gamma-integral forms."""
+    noise factor exp(-beta r^alpha sigma^2 / P): an independent reference
+    for the package's Gamma-integral forms."""
     lam, alpha = params.lambda_b, params.alpha
 
     def noise(beta, power, r):
-        return math.exp(-beta * r**alpha / power * params.noise_power) if include_noise else 1.0
+        return math.exp(-beta * r**alpha / power * params.noise_power)
 
     def ul(r):
         _, ue = ul_functionals(r, r, params, densities)
@@ -334,11 +334,12 @@ class TestSuccessProbabilityShape:
         assert quiet == pytest.approx(want, abs=1e-6)
 
     def test_noise_factor_negligible_at_table_powers(self):
+        thermal = replace(TABLE, noise_power=dbm_to_watts(THERMAL_NOISE_DBM))
         plain = ul_success_probability(TABLE)
-        noisy = ul_success_probability(TABLE, include_noise=True)
+        noisy = ul_success_probability(thermal)
         assert abs(plain - noisy) < 1e-10
         plain_d = dl_success_probability(TABLE)
-        noisy_d = dl_success_probability(TABLE, include_noise=True)
+        noisy_d = dl_success_probability(thermal)
         assert abs(plain_d - noisy_d) < 1e-10
 
     def test_table_values_pinned(self):
@@ -354,14 +355,15 @@ class TestNoise:
     NOISY = replace(TABLE, noise_power=dbm_to_watts(-30.0), p_b=dbm_to_watts(10.0))
 
     def test_noise_on_against_nested_reference(self):
-        want_u, want_d = nested_success_probabilities(self.NOISY, include_noise=True)
-        got_u = ul_success_probability(self.NOISY, include_noise=True)
-        got_d = dl_success_probability(self.NOISY, include_noise=True)
+        want_u, want_d = nested_success_probabilities(self.NOISY)
+        got_u = ul_success_probability(self.NOISY)
+        got_d = dl_success_probability(self.NOISY)
         assert got_u == pytest.approx(want_u, rel=1e-7, abs=0.0)
         assert got_d == pytest.approx(want_d, rel=1e-7, abs=0.0)
         # the configuration is one where noise matters
-        assert got_u < 0.99 * ul_success_probability(self.NOISY)
-        assert got_d < 0.99 * dl_success_probability(self.NOISY)
+        quiet = replace(self.NOISY, noise_power=0.0)
+        assert got_u < 0.99 * ul_success_probability(quiet)
+        assert got_d < 0.99 * dl_success_probability(quiet)
 
     def test_quadrature_only_where_no_closed_form(self, monkeypatch):
         """Noise off: UL is one quadrature over the partner distance and DL
@@ -380,10 +382,10 @@ class TestNoise:
         calls.clear()
         dl_success_probability(TABLE)
         assert calls == []
-        dl_success_probability(self.NOISY, include_noise=True)
+        dl_success_probability(self.NOISY)
         assert len(calls) == 1
         calls.clear()
-        ul_success_probability(self.NOISY, include_noise=True)
+        ul_success_probability(self.NOISY)
         assert len(calls) > 1
 
 

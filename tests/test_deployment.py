@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dudasim.coverage import nearest_distance_cdf, second_nearest_distance_cdf
+from dudasim.coverage import nearest_distance_cdf
 from dudasim.deployment import (
     RngStream,
     assign_directions_and_ues,
@@ -523,25 +523,6 @@ class TestTerminalPlacement:
                 self._assert_matches_reference(
                     points, group_of_bs, n_groups, 15.0, gen, (every, subset)
                 )
-
-
-class TestSpatialStatistics:
-    @pytest.mark.slow
-    def test_nearest_and_second_nearest_laws(self):
-        gen = RngStream(80).generator()
-        nearest = np.empty(20000)
-        second = np.empty(20000)
-        for i in range(len(nearest)):
-            pts = sample_ppp(LAMBDA, HALF, gen)
-            while len(pts) < 2:
-                pts = sample_ppp(LAMBDA, HALF, gen)
-            d2 = np.partition(pts[:, 0] ** 2 + pts[:, 1] ** 2, 1)[:2]
-            nearest[i] = math.sqrt(d2.min())
-            second[i] = math.sqrt(d2.max())
-        p1 = sps.kstest(nearest, lambda r: nearest_distance_cdf(r, LAMBDA)).pvalue
-        p2 = sps.kstest(second, lambda d: second_nearest_distance_cdf(d, LAMBDA)).pvalue
-        assert p1 > 0.01
-        assert p2 > 0.01
 
 
 class TestReproducibilityAndExport:

@@ -17,11 +17,12 @@ from dudasim.montecarlo import (
     samples_csv,
     success_probabilities,
 )
-from dudasim.params import LinkSuccess, SlotTiming, SystemParams
+from dudasim.params import THERMAL_NOISE_DBM, LinkSuccess, SlotTiming, SystemParams, dbm_to_watts
 
 from helpers import reference_synthetic_campaign
 
-TABLE = SystemParams()
+# the standard table with thermal noise on, as `noise = on` sets it
+TABLE = SystemParams(noise_power=dbm_to_watts(THERMAL_NOISE_DBM))
 QUIET = replace(TABLE, noise_power=0.0)
 
 

@@ -366,15 +366,33 @@ class TestCli:
         assert out.stderr.startswith("configuration error: no usable realization")
 
     def test_validate_zero_empirical_rho_fails_without_traceback(self, tmp_path: Path):
-        # duca's empirical rho_u is 0 in 200 trials at beta_u = 40 dB, so its
-        # closed form diverges
+        # at beta_u = 40 dB, 200 trials see 0 first-attempt UL successes for
+        # duca (its closed form diverges) and 1 for duda: too few for the
+        # normal approximation of the 3 SE test, so both checks fail
         cfg = tmp_path / "a.cfg"
         cfg.write_text("beta_u_db = 40\n")
         out = self.run_cli("validate", "--iterations", "200", "--config", str(cfg))
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
-        line = next(x for x in out.stdout.splitlines() if "self_consistency_duca" in x)
-        assert line.startswith("FAIL ") and "empirical rho_u=0.0000" in line
+        for scheme, hits in (("duca", 0), ("duda", 1)):
+            line = next(x for x in out.stdout.splitlines() if f"self_consistency_{scheme}" in x)
+            assert line.startswith("FAIL ")
+            assert f"measured={hits} threshold=10 (first-attempt successes UL={hits} DL=" in line
+            assert line.endswith("the normal approximation behind the 3 SE test needs at least 10)")
+
+    def test_noise_off_simulate_ignores_noise_dbm(self, tmp_path: Path):
+        # noise = off is sigma^2 = 0 in the simulation, as in the analysis,
+        # whatever noise_dbm says; noise = on applies it
+        def simulate(doc: str) -> str:
+            cfg, out = tmp_path / "a.cfg", tmp_path / "a.csv"
+            cfg.write_text(doc)
+            argv = ["simulate", "--scheme", "duda", "--iterations", "200", "--config", str(cfg)]
+            assert main(argv + ["--out", str(out)]) == 0
+            return out.read_text()
+
+        default = simulate("")
+        assert simulate("noise_dbm = -20\nnoise = off\n") == default
+        assert simulate("noise_dbm = -20\nnoise = on\n") != default
 
     def test_campaign_resample_cap_exits_2(self, tmp_path: Path, capsys):
         # 0.5 stations expected in a 10 m window: most draws hold fewer than

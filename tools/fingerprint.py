@@ -12,13 +12,15 @@ directory with only that tree's ``src`` on the path:
 - ``snapshot --seed 0..3`` for each scheme and typical mode;
 - ``simulate`` for each scheme, attempt model (``fixed`` with and without
   ``direction_redraw``) and typical mode, with ``--samples-out``;
+- the first of those (duda, independent, dl) at ``noise_dbm = -20`` with
+  noise off, which must match it, and with noise on;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
 - one small ``sweep --mode both`` per sweep variable, and one sweep per
   variable that leaves its domain (exit 2 and its message);
 - a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
 - ``validate --iterations 500``; ``validate`` in a 1 m window (exit 2 and
   its message); ``validate --iterations 200`` at ``beta_u_db = 40``, where
-  duca's empirical UL success probability is 0;
+  duca has no first-attempt UL success and duda one;
 - demo 03's stdout and the CSV it writes.
 
 Each output (a run's exit status with its stdout, its stderr when either
@@ -67,6 +69,10 @@ def cases():
                             CLI + ["simulate", "--scheme", scheme, "--iterations", "150",
                                    "--samples-out", "samples.csv"],
                             doc, ["samples.csv"]))
+    name, argv, doc, files = out[-12]
+    for noise in ("off", "on"):
+        out.append((f"{name} noise={noise} noise_dbm=-20", argv + ["--noise", noise],
+                    doc + "noise_dbm = -20\n", files))
     for big, rest in (("10000000000000000000", ""),
                       ("9223372036854775807", "attempt_model = fixed\nbeta_u_db = 200\n")):
         out.append((f"simulate max_attempts = {big} (out of domain)",
