@@ -13,8 +13,8 @@ from dudasim import RngStream, delaunay_adjacency, generate_deployment, snapshot
 stream = RngStream(seed=2024, stream_id=0)
 dep, resamples = generate_deployment(
     lambda_b=0.005, delta=0.5, window_half_width=75.0, stream=stream,
-    scheme="duda", typical_mode="dl",
-)
+    schemes=("duda",), typical_mode="dl",
+)["duda"]
 
 n = len(dep.bs_positions)
 paired = dep.units[:, 0] != dep.units[:, 1]  # an unmatched station's row is (i, i)

@@ -4,8 +4,12 @@
 Runs moderate campaigns at the standard parameters, compares the measured
 first-attempt success probabilities and mean latencies against the closed
 forms evaluated at the measured probabilities, and shows the latency
-reduction the decoupled scheme delivers on the same point sets.
+reduction the decoupled scheme delivers on the same point sets: one
+realization stage draws each iteration's stations, directions and terminal
+candidates once for both schemes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,16 +19,19 @@ from dudasim import (
     TrialConfig,
     latency_duca,
     latency_duda,
+    realize,
     run_campaign,
 )
 
 ITERATIONS = 3000
 timing = SlotTiming()
 
-stats = {}
-for scheme in ("duda", "duca"):
-    cfg = TrialConfig(timing=timing, iterations=ITERATIONS, scheme=scheme, seed=42)
-    stats[scheme] = run_campaign(cfg)
+cfg = TrialConfig(timing=timing, iterations=ITERATIONS, seed=42)
+realized = realize(cfg, ("duda", "duca"))
+stats = {
+    scheme: run_campaign(replace(cfg, scheme=scheme), realized[scheme])
+    for scheme in realized
+}
 
 print(f"=== {ITERATIONS} trials per scheme, common point sets ===")
 for scheme, st in stats.items():

@@ -6,22 +6,23 @@ independent with success probability rho_u * rho_d.  Freezing a trial's
 interference geometry breaks that independence: a trial stuck with a bad
 geometry retries for a very long time, the attempt distribution grows a
 heavy tail, and the sample mean is dominated by the retry cap.  This demo
-measures both attempt models on identical deployments.
+measures both attempt models on identical deployments: one realization
+stage serves both campaigns, since neither redraws directions.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from dudasim import TrialConfig, run_campaign
+from dudasim import TrialConfig, realize, run_campaign
 
 ITERATIONS = 800
 CAP = 200
 
+base = TrialConfig(iterations=ITERATIONS, scheme="duda", seed=7, max_attempts=CAP)
+realized = realize(base, ("duda",))["duda"]
 for model in ("independent", "fixed"):
-    cfg = TrialConfig(
-        iterations=ITERATIONS, scheme="duda", seed=7,
-        attempt_model=model, max_attempts=CAP,
-    )
-    st = run_campaign(cfg)
+    st = run_campaign(replace(base, attempt_model=model), realized)
     att = st.attempts
     p = st.empirical_rho_u * st.empirical_rho_d
     print(f"=== attempt_model = {model!r} ===")

@@ -43,7 +43,9 @@ from .deployment import (
     sample_ppp,
     snapshot_csv,
 )
-from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign, samples_csv
+from .montecarlo import (
+    LatencyStats, Realization, realize, run_campaign, run_synthetic_campaign, samples_csv,
+)
 from .config import ConfigBundle, ConfigError, SweepSpec, parse_config
 from .sweep import run_sweep, rows_to_csv
 
@@ -58,7 +60,8 @@ __all__ = [
     "dl_success_probability", "ul_success_probability",
     "Deployment", "RngStream", "delaunay_adjacency", "generate_deployment",
     "sample_ppp", "snapshot_csv",
-    "LatencyStats", "run_campaign", "run_synthetic_campaign", "samples_csv",
+    "LatencyStats", "Realization", "realize", "run_campaign", "run_synthetic_campaign",
+    "samples_csv",
     "ConfigBundle", "ConfigError", "SweepSpec", "parse_config",
     "run_sweep", "rows_to_csv", "run_validation",
 ]

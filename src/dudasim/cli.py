@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from .config import ConfigBundle, ConfigError, parse_config
 from .deployment import NoRealizationError, RngStream, generate_deployment, snapshot_csv
-from .montecarlo import samples_csv
+from .montecarlo import realize, samples_csv
 from .quadrature import QuadratureConvergenceError
 from .sweep import (
     analytic_link, closed_form, rows_to_csv, run_sweep, simulate_campaign, simulate_row,
@@ -115,9 +115,11 @@ def _cmd_analytic(args, bundle: ConfigBundle) -> int:
 
 
 def _cmd_simulate(args, bundle: ConfigBundle) -> int:
+    schemes, forced = bundle.sweep.schemes, bundle.forced_link
+    realized = None if forced else realize(bundle.trial, schemes)
     stats = [
-        simulate_campaign(replace(bundle.trial, scheme=scheme), bundle.forced_link)
-        for scheme in bundle.sweep.schemes
+        simulate_campaign(replace(bundle.trial, scheme=scheme), forced, realized)
+        for scheme in schemes
     ]
     rows = [simulate_row("s_u", bundle.timing.s_u, st) for st in stats]
     _emit(rows_to_csv(rows, args.timing), args.out)
@@ -147,15 +149,17 @@ def _cmd_validate(args, bundle: ConfigBundle) -> int:
 
 def _cmd_snapshot(args, bundle: ConfigBundle) -> int:
     scheme = bundle.sweep.schemes[0]
-    dep, _ = generate_deployment(
+    got = generate_deployment(
         bundle.params.lambda_b,
         bundle.params.delta,
         bundle.trial.window_half_width,
         RngStream(bundle.trial.seed, 0),
-        scheme=scheme,
-        typical_mode=bundle.trial.typical_mode,
-    )
-    _emit(snapshot_csv(dep), args.out)
+        (scheme,),
+        bundle.trial.typical_mode,
+    )[scheme]
+    if isinstance(got, NoRealizationError):
+        raise got
+    _emit(snapshot_csv(got[0]), args.out)
     return EXIT_OK
 
 

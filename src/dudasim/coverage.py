@@ -70,17 +70,22 @@ def _distance_cdf(n: int, d, lam: float):
 
 
 def _noise_nu(params: SystemParams, beta: float, power: float) -> float:
-    """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2); 0 with noise off."""
+    """Noise exponent nu of M_n: s*sigma^2 = nu*u^(alpha/2); 0 with noise off,
+    and inf where (pi*lambda_b)^(alpha/2) underflows to 0."""
     if params.noise_power == 0.0:
         return 0.0
-    return beta * params.noise_power / power / (math.pi * params.lambda_b) ** (params.alpha / 2)
+    scale = (math.pi * params.lambda_b) ** (params.alpha / 2)
+    return beta * params.noise_power / power / scale if scale else math.inf
 
 
 def _gamma_moment(n: int, b: float, nu: float, alpha: float) -> float:
     """M_n(b) = int_0^inf u^(n-1) exp(-b*u - nu*u^(alpha/2)) du: Gamma(n)/b^n
-    for nu = 0, otherwise a quadrature in x, with b*u = n*x/(1-x)."""
+    for nu = 0, 0 for nu = inf, otherwise a quadrature in x, with
+    b*u = n*x/(1-x)."""
     if nu == 0.0:
         return math.gamma(n) / b**n
+    if nu == math.inf:
+        return 0.0
 
     def integrand(x: float) -> float:
         s = n * x / (1.0 - x)

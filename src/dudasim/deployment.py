@@ -22,13 +22,18 @@ matching unmatched has no DUDA link and is redrawn.
 The coupled baseline ("duca") reuses the machinery with pairing disabled:
 every BS is its own unit, with an independent direction and a terminal in
 its own cell, and the probe terminal talks to its nearest BS both ways.
+
+One call serves several schemes from shared draws: the stations, the probe
+terminal, each station's direction uniform and the terminal candidates of
+a draw are the same for every scheme that takes it, and one kd-tree lookup
+per candidate batch places the terminals of all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -174,21 +179,24 @@ _SCREEN_BLOCK = 8192
 
 def _uniform_in_groups(
     points: np.ndarray,
-    group_of_bs: np.ndarray,
-    need: np.ndarray,
+    groupings: Sequence[Tuple[np.ndarray, np.ndarray]],
     window_half_width: float,
     gen: np.random.Generator,
-) -> np.ndarray:
-    """One uniform point per needed group, where group g's region is the
-    union of the Voronoi cells of the stations with group_of_bs == g (clipped
-    to the window).  Rejection-samples batches of window-uniform candidates
-    and keeps each group's first hit until every group in the boolean mask
-    ``need`` (one entry per group) has one; the kd-tree of the stations
-    decides which cell a candidate falls in.  Every station lies in the window
-    and the stations are distinct, so every region has positive area and the
-    loop ends with probability 1.  Rows of groups not needed are NaN.  Which
-    groups are sought changes only how far the candidate stream is read, not
-    the first hit of any group sought.
+) -> List[np.ndarray]:
+    """One uniform point per needed group of each grouping of the stations.
+
+    A grouping is (group_of_bs, need): group g's region is the union of the
+    Voronoi cells of the stations with group_of_bs == g (clipped to the
+    window), and the boolean mask ``need`` (one entry per group) names the
+    groups that get a point.  Rejection-samples batches of window-uniform
+    candidates and keeps each group's first hit until every needed group of
+    every grouping has one; one kd-tree of the stations decides which cell a
+    candidate falls in, for all groupings at once.  Every station lies in the
+    window and the stations are distinct, so every region has positive area
+    and the loop ends with probability 1.  Rows of groups not needed are NaN.
+    Which groups are sought, and which other groupings share the call, change
+    only how far the candidate stream is read, not the first hit of any group
+    sought: each grouping gets the points it would get alone.
 
     Once at most ``_SCREEN_STATIONS`` stations of missing groups remain, each
     batch is screened before the lookup against a local set L: those stations
@@ -203,11 +211,11 @@ def _uniform_in_groups(
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
-    missing = np.array(need, dtype=bool)
-    out = np.full((len(missing), 2), np.nan)
+    missing = [np.array(need, dtype=bool) for _, need in groupings]
+    outs = [np.full((len(m), 2), np.nan) for m in missing]
     batch = max(512, 5 * len(points))
     local = None
-    while missing.any():
+    while any(m.any() for m in missing):
         cand = gen.uniform(-window_half_width, window_half_width, size=(batch, 2))
         if local is not None:
             (lx, ly), m = local
@@ -229,12 +237,16 @@ def _uniform_in_groups(
         # one thread: a batch of a few candidates per station is too small to
         # repay starting worker threads
         _, owner = tree.query(cand, workers=1)
-        group = group_of_bs[owner]
-        hit = np.flatnonzero(missing[group])
-        uniq, first = np.unique(group[hit], return_index=True)
-        out[uniq] = cand[hit[first]]
-        missing[uniq] = False
-        in_missing = missing[group_of_bs]
+        in_missing = np.zeros(len(points), dtype=bool)
+        for (group_of_bs, _), miss, out in zip(groupings, missing, outs):
+            if not miss.any():
+                continue
+            group = group_of_bs[owner]
+            hit = np.flatnonzero(miss[group])
+            uniq, first = np.unique(group[hit], return_index=True)
+            out[uniq] = cand[hit[first]]
+            miss[uniq] = False
+            in_missing |= miss[group_of_bs]
         stations = np.flatnonzero(in_missing)
         if 0 < len(stations) <= _SCREEN_STATIONS:
             k = min(_SCREEN_NEIGHBOURS + 1, len(points))
@@ -242,12 +254,11 @@ def _uniform_in_groups(
             near[tree.query(points[stations], k=k, workers=1)[1]] = True
             members = np.concatenate([stations, np.flatnonzero(near & ~in_missing)])
             local = points[members].T, len(stations)
-    return out
+    return outs
 
 
 def assign_directions_and_ues(
-    pairs: np.ndarray,
-    unpaired: np.ndarray,
+    partitions: Sequence[Tuple[np.ndarray, np.ndarray]],
     points: np.ndarray,
     delta: float,
     gen: np.random.Generator,
@@ -256,20 +267,27 @@ def assign_directions_and_ues(
     *,
     window_half_width: float,
     all_terminals: bool = True,
-) -> Deployment:
-    """Draw link directions and terminal positions around a given probe.
+) -> List[Deployment]:
+    """Draw link directions and terminal positions around a given probe, one
+    deployment per partition of the stations into units.
 
-    ``pairs`` (a (P, 2) int array) and ``unpaired`` (an int array) must
-    partition the stations, which must be distinct points inside the window.
-    Station ``probe_bs`` serves the probe's UL, and ``probe_ue`` is the
-    terminal of its unit.
+    Each partition is (pairs, unpaired): a (P, 2) int array and an int array
+    that together hold every station once.  The stations must be distinct
+    points inside the window.  Station ``probe_bs`` serves the probe's UL,
+    and ``probe_ue`` is the terminal of its unit.
 
-    With ``all_terminals`` false, only the terminals that the deployment's
-    own directions read are placed: one per pair (it orients the pair) and
-    one per UL-active unmatched station.  A DL-active unmatched station's
-    row of ``ues`` is then NaN.  Directions are drawn before the
-    terminals and nothing is drawn after them, so every other array is the
-    same as with all terminals placed.
+    ``gen`` first gives one uniform per station; a unit is DL-active when the
+    uniform of its lower-index station is below delta, so each partition's
+    directions are iid Bernoulli(delta), and partitions that share a station
+    as a unit's lower index share that unit's direction.  The terminals of
+    every partition are then placed from one candidate stream, each partition
+    getting the terminals it would get alone.
+
+    With ``all_terminals`` false, only the terminals that a deployment's own
+    directions read are placed: one per pair (it orients the pair) and one
+    per UL-active unmatched station.  A DL-active unmatched station's row of
+    ``ues`` is then NaN.  Nothing is drawn after the terminals, so every
+    other array is the same as with all terminals placed.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -283,39 +301,44 @@ def assign_directions_and_ues(
     if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
         raise ValueError("stations must be distinct points inside the window")
 
-    # each station once: a repeated one leaves a unit whose region has no area
-    if not np.array_equal(np.sort(np.concatenate([pairs.ravel(), unpaired])), np.arange(n)):
-        raise ValueError("pairs and unpaired must partition the stations")
+    u = gen.uniform(size=n)
+    layouts, groupings = [], []
+    for pairs, unpaired in partitions:
+        # each station once: a repeated one leaves a unit whose region has no area
+        if not np.array_equal(np.sort(np.concatenate([pairs.ravel(), unpaired])), np.arange(n)):
+            raise ValueError("pairs and unpaired must partition the stations")
+        # Units: one per pair, then one per unmatched station.
+        units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
+        group_of_bs = np.empty(n, dtype=int)
+        group_of_bs[units] = np.arange(len(units))[:, None]
+        probe = int(group_of_bs[probe_bs])
+        active_dl = u[units.min(axis=1)] < delta
+        # Terminals: one per unit, uniform in the union of its stations'
+        # cells.  The probe's own unit is skipped: its terminal is the probe
+        # terminal, set below.  Without all_terminals, so are the DL-active
+        # unmatched stations' units.
+        need = all_terminals | ~active_dl | (units[:, 0] != units[:, 1])
+        need[probe] = False
+        layouts.append((units, probe, active_dl))
+        groupings.append((group_of_bs, need))
+    placed = _uniform_in_groups(points, groupings, window_half_width, gen)
 
-    # Units: one per pair, then one per unmatched station.
-    units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
-    group_of_bs = np.empty(n, dtype=int)
-    group_of_bs[units] = np.arange(len(units))[:, None]
-    probe = int(group_of_bs[probe_bs])
-
-    active_dl = gen.uniform(size=len(units)) < delta
-
-    # Terminals: one per unit, uniform in the union of its stations' cells.
-    # The probe's own unit is skipped: its terminal is the probe terminal,
-    # set below.  Without all_terminals, so are the DL-active unmatched
-    # stations' units.
-    need = all_terminals | ~active_dl | (units[:, 0] != units[:, 1])
-    need[probe] = False
-    ues = _uniform_in_groups(points, group_of_bs, need, window_half_width, gen)
-
-    # Orient each unit: the member nearer its terminal receives UL, except
-    # in the probe's unit, where the serving station does.  A row (i, i)
-    # cannot flip, so a deployment without pairs skips this.
-    if len(pairs):
-        d2 = ((points[units] - ues[:, None]) ** 2).sum(axis=2)
-        flip = d2[:, 1] < d2[:, 0]
-        flip[probe] = units[probe, 1] == probe_bs
-        units[flip] = units[flip, ::-1]
-    ues[probe] = probe_ue
-    active_dl[probe] = False
-    return Deployment(
-        bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe
-    )
+    deployments = []
+    for (units, probe, active_dl), ues in zip(layouts, placed):
+        # Orient each unit: the member nearer its terminal receives UL,
+        # except in the probe's unit, where the serving station does.  A row
+        # (i, i) cannot flip, so a deployment without pairs skips this.
+        if (units[:, 0] != units[:, 1]).any():
+            d2 = ((points[units] - ues[:, None]) ** 2).sum(axis=2)
+            flip = d2[:, 1] < d2[:, 0]
+            flip[probe] = units[probe, 1] == probe_bs
+            units[flip] = units[flip, ::-1]
+        ues[probe] = probe_ue
+        active_dl[probe] = False
+        deployments.append(Deployment(
+            bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe
+        ))
+    return deployments
 
 
 def generate_deployment(
@@ -323,58 +346,81 @@ def generate_deployment(
     delta: float,
     window_half_width: float,
     stream: RngStream,
-    scheme: str = "duda",
+    schemes: Sequence[str] = ("duda",),
     typical_mode: str = "dl",
-    max_resamples: int = 64,
+    max_resamples: Union[int, Mapping[str, int]] = 64,
     all_terminals: bool = True,
-) -> Tuple[Deployment, int]:
-    """Produce one usable realization; returns (deployment, resamples).
+) -> Dict[str, Union[Tuple[Deployment, int], NoRealizationError]]:
+    """One usable realization per scheme, from draws the schemes share.
 
-    A draw is redrawn when it holds fewer than 2 stations, or, for the
-    decoupled scheme, when the probe's serving BS ends the matching
-    unmatched.  ``all_terminals`` is passed to ``assign_directions_and_ues``.
+    Returns, for each scheme, (deployment, resamples), or the
+    NoRealizationError of a scheme with no usable draw in its
+    ``max_resamples`` + 1 (one count for all schemes, or one per scheme).
+
+    Draw ``attempt`` reads ``stream.generator(attempt)`` for the stations,
+    the "ul"-mode probe terminal and then, for the decoupled scheme, the
+    matching's visiting order; ``stream.generator(attempt, 1)`` gives the
+    directions and terminals (``assign_directions_and_ues``).  A draw with
+    fewer than 2 stations is redrawn for every scheme.  The coupled scheme
+    takes any other draw; the decoupled scheme redraws alone while the
+    probe's serving station ends the matching unmatched.  Each scheme thus
+    gets the deployment it would get alone, and the schemes that take the
+    same draw share its stations, directions and terminal candidates.
+    ``all_terminals`` is passed to ``assign_directions_and_ues``.
     """
-    if scheme not in ("duda", "duca"):
-        raise ValueError("scheme must be 'duda' or 'duca'")
+    for scheme in schemes:
+        if scheme not in ("duda", "duca"):
+            raise ValueError("scheme must be 'duda' or 'duca'")
     if typical_mode not in ("ul", "dl"):
         raise ValueError("typical_mode must be 'ul' or 'dl'")
-    resamples = sparse = 0
-    for attempt in range(max_resamples + 1):
+    caps = (dict(max_resamples) if isinstance(max_resamples, Mapping)
+            else dict.fromkeys(schemes, max_resamples))
+    done: Dict[str, Union[Tuple[Deployment, int], NoRealizationError]] = {}
+    sparse = 0
+    for attempt in range(max(caps.values()) + 1):
+        wanted = [s for s in schemes if s not in done]
         gen = stream.generator(attempt)
         pts = sample_ppp(lambda_b, window_half_width, gen)
         if typical_mode == "ul":
             pts = np.vstack([np.zeros((1, 2)), pts])
+        taken = {}  # scheme -> (pairs, unpaired, degenerate) of the draws it takes
         if len(pts) < 2:
-            resamples += 1
             sparse += 1
-            continue
-        if scheme == "duda":
-            indptr, indices, degen = delaunay_adjacency(pts)
-            pairs, unpaired = pair_bs(pts, indptr, indices, gen)
         else:
-            degen = False
-            pairs, unpaired = np.empty((0, 2), dtype=int), np.arange(len(pts))
-        probe_bs = int(np.argmin(np.linalg.norm(pts, axis=1)))
-        if scheme == "duda" and (unpaired == probe_bs).any():
-            resamples += 1
-            continue
-        probe_ue = np.zeros(2)
-        if typical_mode == "ul":
-            r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
-            theta = gen.uniform(0.0, 2.0 * math.pi)
-            probe_ue = pts[probe_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
-        dep = assign_directions_and_ues(
-            pairs, unpaired, pts, delta, gen, probe_bs, probe_ue,
-            window_half_width=window_half_width, all_terminals=all_terminals,
-        )
-        dep.degenerate = degen
-        return dep, resamples
-    expected = lambda_b * (2.0 * window_half_width) ** 2
-    raise NoRealizationError(
-        f"no usable realization in {max_resamples + 1} draws: {sparse} had fewer than "
-        f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window) and "
-        f"{max_resamples + 1 - sparse} left the typical BS unmatched"
-    )
+            probe_bs = int(np.argmin(np.linalg.norm(pts, axis=1)))
+            probe_ue = np.zeros(2)
+            if typical_mode == "ul":
+                r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
+                theta = gen.uniform(0.0, 2.0 * math.pi)
+                probe_ue = pts[probe_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
+            for scheme in wanted:
+                if scheme == "duca":
+                    taken[scheme] = np.empty((0, 2), dtype=int), np.arange(len(pts)), False
+                    continue
+                indptr, indices, degen = delaunay_adjacency(pts)
+                pairs, unpaired = pair_bs(pts, indptr, indices, gen)
+                if not (unpaired == probe_bs).any():
+                    taken[scheme] = pairs, unpaired, degen
+        if taken:
+            deps = assign_directions_and_ues(
+                [t[:2] for t in taken.values()], pts, delta, stream.generator(attempt, 1),
+                probe_bs, probe_ue, window_half_width=window_half_width,
+                all_terminals=all_terminals,
+            )
+            for (scheme, (_, _, degen)), dep in zip(taken.items(), deps):
+                dep.degenerate = degen
+                done[scheme] = dep, attempt
+        for scheme in wanted:
+            if scheme not in done and attempt == caps[scheme]:
+                expected = lambda_b * (2.0 * window_half_width) ** 2
+                done[scheme] = NoRealizationError(
+                    f"no usable realization in {attempt + 1} draws: {sparse} had fewer than "
+                    f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window) "
+                    f"and {attempt + 1 - sparse} left the typical BS unmatched"
+                )
+        if len(done) == len(schemes):
+            break
+    return {scheme: done[scheme] for scheme in schemes}
 
 
 def snapshot_csv(dep: Deployment) -> str:

@@ -19,8 +19,9 @@ power each interfering unit delivers to the receiver from its active
 transmitter (its DL base station or its terminal).  This is the
 conditional success probability behind the SINR meta distribution
 (Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers as
-soon as it is generated; the retry loop then needs only Bernoulli and
-geometric draws, done for the whole campaign at once.
+soon as it is generated (``realize``, one stage for the campaigns of every
+scheme, which share their draws); the retry loop then needs only Bernoulli
+and geometric draws, done for each campaign at once (``run_campaign``).
 
 Attempt models
 --------------
@@ -51,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,44 +167,84 @@ def _campaign_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag,)))
 
 
-def run_campaign(config: TrialConfig) -> LatencyStats:
-    """Run a full campaign: one deployment per iteration, one trial each.
+def _realization_key(config: TrialConfig) -> tuple:
+    """What a campaign's realizations depend on, besides the scheme."""
+    redraw = config.attempt_model == "fixed" and config.direction_redraw
+    return (config.params, config.iterations, config.seed, config.window_half_width,
+            config.typical_mode, redraw)
 
-    Each deployment is reduced to its exact conditional success
-    probabilities as it is generated; one vectorized draw then gives every
-    trial's attempts under the configured attempt model.  Only the terminals
-    that transmit are placed, unless ``direction_redraw`` lets every unit
-    transmit from its terminal.  The campaign resamples at most 10x
-    iterations times in all; past that it raises NoRealizationError.
+
+@dataclass
+class Realization:
+    """One scheme's realizations for a campaign: iteration ``it``'s
+    deployment reduced to column ``it`` of (p_ul, p_dl, p_retry) as it was
+    generated, and the resamples they took, or the error that stopped them."""
+
+    scheme: str
+    key: tuple                            # _realization_key of the campaigns it serves
+    probs: np.ndarray                     # (3, iterations)
+    resamples: int = 0
+    error: Optional[NoRealizationError] = None
+
+
+def realize(config: TrialConfig, schemes: Sequence[str]) -> Dict[str, Realization]:
+    """The realization stage of the campaigns of ``config`` for each scheme.
+
+    Iteration ``it`` draws on ``RngStream(seed, it)`` one deployment for
+    every scheme still running (``generate_deployment``, where the schemes
+    share their draws) and reduces each to its exact conditional success
+    probabilities at once.  Only the terminals that transmit are placed,
+    unless ``direction_redraw`` lets every unit transmit from its terminal.
+    A scheme resamples at most 10x iterations times in all; one that runs
+    out, or finds no usable draw in 65, stops with its NoRealizationError
+    while the others go on.  A scheme gets the same realizations whichever
+    other schemes run beside it.
     """
     params, n = config.params, config.iterations
     redraw = config.attempt_model == "fixed" and config.direction_redraw
-    probs = np.empty((3, n))
-    resamples = 0
+    key = _realization_key(config)
+    out = {s: Realization(s, key, np.empty((3, n))) for s in schemes}
     for it in range(n):
-        budget = 10 * n - resamples
-        try:
-            dep, rs = generate_deployment(
-                params.lambda_b,
-                params.delta,
-                config.window_half_width,
-                RngStream(config.seed, it),
-                scheme=config.scheme,
-                typical_mode=config.typical_mode,
-                max_resamples=min(64, budget),
-                all_terminals=redraw,
-            )
-        except NoRealizationError as exc:
-            if budget >= 64:
-                raise
-            raise NoRealizationError(
-                f"{exc}; the campaign's cap of {10 * n} resamples (10x iterations) "
-                f"ran out at iteration {it}"
-            ) from None
-        resamples += rs
-        probs[:, it] = success_probabilities(dep, params, redraw)
+        caps = {s: min(64, 10 * n - r.resamples) for s, r in out.items() if r.error is None}
+        if not caps:
+            break
+        got = generate_deployment(
+            params.lambda_b, params.delta, config.window_half_width,
+            RngStream(config.seed, it), tuple(caps), config.typical_mode, caps,
+            all_terminals=redraw,
+        )
+        for scheme, result in got.items():
+            r = out[scheme]
+            if isinstance(result, NoRealizationError):
+                r.error = result if caps[scheme] == 64 else NoRealizationError(
+                    f"{result}; the campaign's cap of {10 * n} resamples (10x iterations) "
+                    f"ran out at iteration {it}"
+                )
+            else:
+                dep, rs = result
+                r.resamples += rs
+                r.probs[:, it] = success_probabilities(dep, params, redraw)
+    return out
 
-    p_ul, p_dl, p_retry = probs
+
+def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) -> LatencyStats:
+    """Run a full campaign: one deployment per iteration, one trial each.
+
+    ``realized`` is the scheme's entry of ``realize`` for a configuration
+    with the same realizations (the same parameters, iterations, seed,
+    window, typical mode and terminal placement); without it the campaign
+    realizes its scheme alone, with the same result.  One vectorized draw
+    then gives every trial's attempts under the configured attempt model.
+    Raises the scheme's NoRealizationError if its realizations stopped.
+    """
+    if realized is None:
+        realized = realize(config, (config.scheme,))[config.scheme]
+    if (realized.scheme, realized.key) != (config.scheme, _realization_key(config)):
+        raise ValueError("the realizations belong to another campaign configuration")
+    if realized.error is not None:
+        raise realized.error
+    n = config.iterations
+    p_ul, p_dl, p_retry = realized.probs
     rng = _campaign_rng(config.seed, 0xA77E)
     if config.attempt_model == "independent":
         # every DL phase, the first included, sees a uniformly drawn
@@ -219,7 +260,7 @@ def run_campaign(config: TrialConfig) -> LatencyStats:
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),
         empirical_rho_d=float(dl_first.mean()),
-        resample_count=resamples,
+        resample_count=realized.resamples,
         scheme=config.scheme,
     )
 

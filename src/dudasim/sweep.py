@@ -21,15 +21,15 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .config import ConfigBundle, SweepSpec, at_point, check_sweep
+from .config import ConfigBundle, ConfigError, SweepSpec, at_point, check_sweep
 from .coverage import dl_success_probability, ul_success_probability
 from .deployment import NoRealizationError
 from .latency import LatencyBreakdown, latency_duca, latency_duda
-from .montecarlo import LatencyStats, run_campaign, run_synthetic_campaign
+from .montecarlo import LatencyStats, Realization, realize, run_campaign, run_synthetic_campaign
 from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig
 from .quadrature import QuadratureConvergenceError
 
@@ -67,8 +67,16 @@ def _point_seed(seed: int, point: int) -> int:
 
 
 def analytic_link(params: SystemParams) -> LinkSuccess:
-    """The stochastic-geometry success probabilities of both directions."""
-    return LinkSuccess(ul_success_probability(params), dl_success_probability(params))
+    """The stochastic-geometry success probabilities of both directions.
+    Raises ConfigError when either is 0: every closed form then diverges."""
+    link = LinkSuccess(ul_success_probability(params), dl_success_probability(params))
+    for name, rho in (("UL", link.rho_u), ("DL", link.rho_d)):
+        if rho == 0.0:
+            raise ConfigError(
+                f"the analytic {name} success probability is 0 at this configuration, "
+                "so the expected latency diverges"
+            )
+    return link
 
 
 def closed_form(scheme: str, timing: SlotTiming, link: LinkSuccess) -> LatencyBreakdown:
@@ -76,15 +84,19 @@ def closed_form(scheme: str, timing: SlotTiming, link: LinkSuccess) -> LatencyBr
     return (latency_duda if scheme == "duda" else latency_duca)(timing, link)
 
 
-def simulate_campaign(trial: TrialConfig, forced: Optional[LinkSuccess]) -> LatencyStats:
+def simulate_campaign(
+    trial: TrialConfig, forced: Optional[LinkSuccess],
+    realized: Optional[Dict[str, Realization]] = None,
+) -> LatencyStats:
     """One scheme's Monte Carlo campaign: Bernoulli attempts at a forced
-    (rho_u, rho_d), bypassing the geometry, or the geometry campaign."""
+    (rho_u, rho_d), bypassing the geometry, or the geometry campaign on the
+    scheme's entry of ``realized`` (``montecarlo.realize``), if given."""
     if forced is not None:
         return run_synthetic_campaign(
             forced.rho_u, forced.rho_d, trial.timing, trial.scheme,
             trial.iterations, trial.seed, trial.max_attempts,
         )
-    return run_campaign(trial)
+    return run_campaign(trial, realized[trial.scheme] if realized else None)
 
 
 def simulate_row(variable: str, value: float, stats: LatencyStats) -> SweepRow:
@@ -108,6 +120,7 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
         value = float(value)
         at = at_point(bundle, spec.variable, value)
         params, timing, forced = at.params, at.timing, at.forced_link
+        realized = None  # one realization stage per point serves every scheme
         for scheme in spec.schemes:
             for mode in modes:
                 t0 = time.perf_counter()
@@ -124,7 +137,11 @@ def run_sweep(spec: SweepSpec, bundle: ConfigBundle) -> List[SweepRow]:
                     else:
                         cfg = replace(at.trial, scheme=scheme,
                                       seed=_point_seed(bundle.trial.seed, point))
-                        row = simulate_row(spec.variable, value, simulate_campaign(cfg, forced))
+                        if forced is None and realized is None:
+                            realized = realize(cfg, spec.schemes)
+                        row = simulate_row(
+                            spec.variable, value, simulate_campaign(cfg, forced, realized)
+                        )
                 # the failures a valid configuration can still meet at one point
                 except (NoRealizationError, QuadratureConvergenceError, ValueError) as exc:
                     print(

@@ -30,7 +30,7 @@ from .config import ConfigBundle
 from .coverage import nearest_distance_cdf, second_nearest_distance_cdf
 from .deployment import RngStream, sample_ppp
 from .latency import latency_duca, latency_duda, latency_gap
-from .montecarlo import run_campaign
+from .montecarlo import realize, run_campaign
 from .params import LinkSuccess, SlotTiming
 from .quadrature import interference_tail_integral
 from .sweep import analytic_link, closed_form
@@ -251,8 +251,10 @@ def run_validation(
         check_spatial_laws(bundle.params.lambda_b, bundle.trial.window_half_width, spatial_draws, seed)
     )
     checks.append(check_gap_identity(gap_points, seed))
+    trial = replace(bundle.trial, iterations=iters)
+    realized = realize(trial, ("duda", "duca"))
     campaigns = {
-        scheme: run_campaign(replace(bundle.trial, iterations=iters, scheme=scheme, seed=seed))
+        scheme: run_campaign(replace(trial, scheme=scheme), realized[scheme])
         for scheme in ("duda", "duca")
     }
     checks.extend(check_analytic_vs_simulation(bundle, campaigns["duda"]))

@@ -166,6 +166,20 @@ def reference_pair_bs(points: np.ndarray, adjacency, gen: np.random.Generator):
     return pairs, unpaired
 
 
+def deploy(lambda_b, delta, window_half_width, stream, scheme="duda", typical_mode="dl",
+           **kwargs):
+    """``generate_deployment`` for one scheme: (deployment, resamples), or
+    the scheme's NoRealizationError raised."""
+    from dudasim.deployment import NoRealizationError, generate_deployment
+
+    got = generate_deployment(
+        lambda_b, delta, window_half_width, stream, (scheme,), typical_mode, **kwargs
+    )[scheme]
+    if isinstance(got, NoRealizationError):
+        raise got
+    return got
+
+
 def reference_uniform_in_groups(
     points: np.ndarray,
     group_of_bs: np.ndarray,

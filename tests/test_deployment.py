@@ -18,7 +18,9 @@ from dudasim.deployment import (
     _uniform_in_groups,
 )
 
-from helpers import brute_force_delaunay_edges, reference_pair_bs, reference_uniform_in_groups
+from helpers import (
+    brute_force_delaunay_edges, deploy, reference_pair_bs, reference_uniform_in_groups,
+)
 
 LAMBDA = 0.005
 HALF = 75.0
@@ -243,7 +245,7 @@ class TestPairing:
 
 class TestAssignDirections:
     def _deployment(self, seed, scheme="duda", typical_mode="dl"):
-        dep, _ = generate_deployment(
+        dep, _ = deploy(
             LAMBDA, 0.5, HALF, RngStream(seed), scheme=scheme, typical_mode=typical_mode
         )
         return dep
@@ -262,8 +264,8 @@ class TestAssignDirections:
         pts = sample_ppp(LAMBDA, HALF, RngStream(50).generator())
         indptr, indices, _ = delaunay_adjacency(pts)
         pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(51).generator())
-        dep = assign_directions_and_ues(
-            pairs, unpaired, pts, 1.0 - 1e-12, RngStream(52).generator(),
+        [dep] = assign_directions_and_ues(
+            [(pairs, unpaired)], pts, 1.0 - 1e-12, RngStream(52).generator(),
             int(np.argmin(np.linalg.norm(pts, axis=1))), ORIGIN, window_half_width=HALF,
         )
         single = dep.units[:, 0] == dep.units[:, 1]
@@ -279,7 +281,7 @@ class TestAssignDirections:
         for delta in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 assign_directions_and_ues(
-                    pairs, unpaired, pts, delta, RngStream(55).generator(), 0, ORIGIN,
+                    [(pairs, unpaired)], pts, delta, RngStream(55).generator(), 0, ORIGIN,
                     window_half_width=HALF,
                 )
 
@@ -291,12 +293,12 @@ class TestAssignDirections:
         for points in (pts, outside):
             with pytest.raises(ValueError, match="distinct points inside the window"):
                 assign_directions_and_ues(
-                    np.empty((0, 2), dtype=int), np.arange(3), points, 0.5,
+                    [(np.empty((0, 2), dtype=int), np.arange(3))], points, 0.5,
                     RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
                 )
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
-                np.empty((0, 2), dtype=int), np.arange(2), outside * 0.5, 0.5,
+                [(np.empty((0, 2), dtype=int), np.arange(2))], outside * 0.5, 0.5,
                 RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
             )
 
@@ -309,7 +311,7 @@ class TestAssignDirections:
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
-                np.array([[0, 1]]), np.array(unpaired), pts, 0.5,
+                [(np.array([[0, 1]]), np.array(unpaired))], pts, 0.5,
                 RngStream(57).generator(), 0, ORIGIN, window_half_width=15.0,
             )
 
@@ -318,7 +320,7 @@ class TestAssignDirections:
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
         with pytest.raises(ValueError, match="probe_bs must index"):
             assign_directions_and_ues(
-                np.array([[0, 1]]), np.array([2, 3]), pts, 0.5,
+                [(np.array([[0, 1]]), np.array([2, 3]))], pts, 0.5,
                 RngStream(58).generator(), probe_bs, ORIGIN, window_half_width=15.0,
             )
 
@@ -328,7 +330,7 @@ class TestAssignDirections:
     ])
     def test_generate_rejects_unknown_scheme_or_mode(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            generate_deployment(LAMBDA, 0.5, HALF, RngStream(59), **kwargs)
+            deploy(LAMBDA, 0.5, HALF, RngStream(59), **kwargs)
 
     def test_pair_orientation_follows_terminal(self):
         for seed in range(40):
@@ -372,7 +374,7 @@ class TestAssignDirections:
     def test_ul_mode_link_distance_is_rayleigh(self):
         dists = []
         for seed in range(2000):
-            dep, _ = generate_deployment(
+            dep, _ = deploy(
                 LAMBDA, 0.5, HALF, RngStream(70, seed), typical_mode="ul"
             )
             ul_bs, ue = dep.units[dep.probe, 0], dep.ues[dep.probe]
@@ -384,7 +386,7 @@ class TestAssignDirections:
     def test_dl_mode_link_distance_is_rayleigh(self):
         dists = []
         for seed in range(2000):
-            dep, _ = generate_deployment(
+            dep, _ = deploy(
                 LAMBDA, 0.5, HALF, RngStream(71, seed), typical_mode="dl"
             )
             dists.append(np.linalg.norm(dep.bs_positions[dep.units[dep.probe, 0]]))
@@ -432,7 +434,7 @@ class TestTerminalPlacement:
         group_of_bs = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7])
         gen = np.random.default_rng(2024)
         ues = np.array([
-            _uniform_in_groups(self.GRID, group_of_bs, np.ones(8, dtype=bool), 15.0, gen)
+            _uniform_in_groups(self.GRID, [(group_of_bs, np.ones(8, dtype=bool))], 15.0, gen)[0]
             for _ in range(4000)
         ])
         stat, dof = 0.0, 0
@@ -459,7 +461,7 @@ class TestTerminalPlacement:
         n = 800
         every = np.ones(len(points), dtype=bool)
         ues = np.array([
-            _uniform_in_groups(points, group_of_bs, every, 15.0, gen)[0] for _ in range(n)
+            _uniform_in_groups(points, [(group_of_bs, every)], 15.0, gen)[0][0] for _ in range(n)
         ])
         # the loop must outlast a 12-batch cap for most of these placements
         assert gen.calls / n > 12
@@ -481,20 +483,35 @@ class TestTerminalPlacement:
         return group_of_bs, len(pairs) + len(unpaired)
 
     @staticmethod
-    def _assert_matches_reference(points, group_of_bs, n_groups, half, gen, masks):
+    def _assert_matches_reference(points, group_of_bs, masks, half, gen, other=None):
         """Placement from the generator's state, seeking the groups of each
-        mask in turn, against the reference from the same state."""
+        mask in turn, against the reference from the same state; then all
+        masks, and the (group_of_bs, need) grouping ``other`` if given, in
+        one call, as the generator seeks the groups of every scheme that
+        takes a draw."""
+        n_groups = len(masks[0])
         want = reference_uniform_in_groups(points, group_of_bs, n_groups, half, copy.deepcopy(gen))
-        for need in masks:
-            got = _uniform_in_groups(points, group_of_bs, need, half, copy.deepcopy(gen))
-            assert np.array_equal(got[need], want[need])
+        groupings = [(group_of_bs, need) for need in masks]
+        checks = [(need, want) for need in masks]
+        if other is not None:
+            groupings.append(other)
+            checks.append((other[1], reference_uniform_in_groups(
+                points, other[0], len(other[1]), half, copy.deepcopy(gen))))
+        joint = _uniform_in_groups(points, groupings, half, copy.deepcopy(gen))
+        alone = [_uniform_in_groups(points, [g], half, copy.deepcopy(gen))[0]
+                 for g in groupings[:len(masks)]]
+        assert len(joint) == len(groupings)
+        for got, (need, ref) in [*zip(alone, checks), *zip(joint, checks)]:
+            assert np.array_equal(got[need], ref[need])
             assert np.isnan(got[~need]).all()
 
     @pytest.mark.parametrize("scheme", ["duda", "duca"])
     def test_matches_reference_placement(self, scheme):
         # the screened loop keeps the unscreened loop's first hits exactly,
         # both for every group but the probe's (as the generator seeks them)
-        # and for random subsets of the groups
+        # and for random subsets of the groups, alone and in one call with
+        # the other scheme's groups
+        other = "duca" if scheme == "duda" else "duda"
         masks = np.random.default_rng(47)
         for lam, count in ((LAMBDA, 300), (0.04, 40)):
             for mode in ("dl", "ul"):
@@ -505,30 +522,36 @@ class TestTerminalPlacement:
                         pts = np.vstack([np.zeros((1, 2)), pts])
                     if len(pts) < 2:
                         continue
+                    other_groups, other_n = self._groups(pts, other, copy.deepcopy(gen))
                     group_of_bs, n_groups = self._groups(pts, scheme, gen)
-                    probe = int(group_of_bs[np.argmin(np.linalg.norm(pts, axis=1))])
-                    need = np.arange(n_groups) != probe
+                    probe_bs = np.argmin(np.linalg.norm(pts, axis=1))
+                    need = np.arange(n_groups) != group_of_bs[probe_bs]
+                    other_need = np.arange(other_n) != other_groups[probe_bs]
                     subset = masks.random(n_groups) < masks.uniform(0.1, 0.9)
                     self._assert_matches_reference(
-                        pts, group_of_bs, n_groups, HALF, gen, (need, subset)
+                        pts, group_of_bs, (need, subset), HALF, gen, (other_groups, other_need)
                     )
-        # the 3 x 3 grid (stations 0 and 1 paired for duda) and the tiny cell
-        grid_groups = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7]) if scheme == "duda" else np.arange(9)
-        for points, group_of_bs in ((self.GRID, grid_groups), (self.TINY, np.arange(13))):
+        # the 3 x 3 grid (stations 0 and 1 paired for duda) with the other
+        # scheme's groups, and the tiny cell
+        paired = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7])
+        grid, grid_other = (paired, np.arange(9)) if scheme == "duda" else (np.arange(9), paired)
+        other_need = np.ones(int(grid_other.max()) + 1, dtype=bool)
+        for points, group_of_bs, other in ((self.GRID, grid, (grid_other, other_need)),
+                                           (self.TINY, np.arange(13), None)):
             n_groups = int(group_of_bs.max()) + 1
             for seed in range(100):
                 gen = np.random.default_rng(seed)
                 every = np.ones(n_groups, dtype=bool)
                 subset = masks.random(n_groups) < 0.5
                 self._assert_matches_reference(
-                    points, group_of_bs, n_groups, 15.0, gen, (every, subset)
+                    points, group_of_bs, (every, subset), 15.0, gen, other
                 )
 
 
 class TestReproducibilityAndExport:
     def test_bit_identical_realizations(self):
-        a, ra = generate_deployment(LAMBDA, 0.5, HALF, RngStream(90, 7))
-        b, rb = generate_deployment(LAMBDA, 0.5, HALF, RngStream(90, 7))
+        a, ra = deploy(LAMBDA, 0.5, HALF, RngStream(90, 7))
+        b, rb = deploy(LAMBDA, 0.5, HALF, RngStream(90, 7))
         assert ra == rb
         assert np.array_equal(a.bs_positions, b.bs_positions)
         assert np.array_equal(a.units, b.units)
@@ -538,14 +561,14 @@ class TestReproducibilityAndExport:
         assert snapshot_csv(a) == snapshot_csv(b)
 
     def test_distinct_streams_differ(self):
-        a, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(90, 7))
-        b, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(90, 8))
+        a, _ = deploy(LAMBDA, 0.5, HALF, RngStream(90, 7))
+        b, _ = deploy(LAMBDA, 0.5, HALF, RngStream(90, 8))
         assert not np.array_equal(a.bs_positions, b.bs_positions)
 
     def test_resample_rate_reported(self):
         total = 0
         for seed in range(200):
-            _, rs = generate_deployment(LAMBDA, 0.5, HALF, RngStream(91, seed))
+            _, rs = deploy(LAMBDA, 0.5, HALF, RngStream(91, seed))
             total += rs
         # unmatched-probe rate is around 5-10%, never pathological
         assert 0 < total < 60
@@ -556,10 +579,10 @@ class TestReproducibilityAndExport:
         msg = (r"no usable realization in 65 draws: 65 had fewer than 2 base stations "
                r"\(expected lambda_b\*side\^2 = 0\.005 per window\)")
         with pytest.raises(RuntimeError, match=msg):
-            generate_deployment(LAMBDA, 0.5, 0.5, RngStream(93), scheme=scheme)
+            deploy(LAMBDA, 0.5, 0.5, RngStream(93), scheme=scheme)
 
     def test_snapshot_schema(self):
-        dep, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(92))
+        dep, _ = deploy(LAMBDA, 0.5, HALF, RngStream(92))
         text = snapshot_csv(dep)
         lines = text.strip().split("\n")
         assert lines[0] == "x,y,role,pair_id"
@@ -578,7 +601,7 @@ class TestReproducibilityAndExport:
             return f"{p[0]:.9g},{p[1]:.9g}"
 
         for seed in range(5):
-            dep, _ = generate_deployment(LAMBDA, 0.5, HALF, RngStream(94, seed), scheme, mode)
+            dep, _ = deploy(LAMBDA, 0.5, HALF, RngStream(94, seed), scheme, mode)
             rows = [line.rsplit(",", 2) for line in snapshot_csv(dep).splitlines()[1:]]
             assert len(rows) == len(dep.bs_positions) + len(dep.units)
             # every station exactly once, and one terminal per unit

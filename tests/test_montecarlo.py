@@ -12,6 +12,7 @@ from dudasim.montecarlo import (
     TrialConfig,
     draw_attempts,
     latency_samples,
+    realize,
     run_campaign,
     run_synthetic_campaign,
     samples_csv,
@@ -19,7 +20,7 @@ from dudasim.montecarlo import (
 )
 from dudasim.params import THERMAL_NOISE_DBM, LinkSuccess, SlotTiming, SystemParams, dbm_to_watts
 
-from helpers import reference_synthetic_campaign
+from helpers import deploy, reference_synthetic_campaign
 
 # the standard table with thermal noise on, as `noise = on` sets it
 TABLE = SystemParams(noise_power=dbm_to_watts(THERMAL_NOISE_DBM))
@@ -198,7 +199,7 @@ class TestSuccessProbabilities:
         draws = 40_000
         rng = np.random.default_rng([7, scheme == "duca"])
         for it in range(3):
-            dep, _ = generate_deployment(
+            dep, _ = deploy(
                 TABLE.lambda_b, TABLE.delta, 75.0, RngStream(91, it), scheme=scheme
             )
             p_ul, p_dl, p_retry = success_probabilities(dep, TABLE)
@@ -257,7 +258,7 @@ class TestTrial:
     def test_guaranteed_first_attempt(self):
         # zero-ish thresholds: success on attempt 1, latency s_u + s_d
         params = replace(TABLE, beta_u=1e-15, beta_d=1e-15)
-        dep, _ = generate_deployment(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(1, 0))
+        dep, _ = deploy(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(1, 0))
         assert min(success_probabilities(dep, params)) > 1.0 - 1e-9
         st = run_campaign(TrialConfig(params=params, timing=SlotTiming(), iterations=20))
         assert np.all(st.attempts == 1)
@@ -389,9 +390,22 @@ class TestCampaign:
         st = run_campaign(cfg)
         assert len(st.samples) == 100
 
+    def test_realizations_serve_only_their_configuration(self):
+        cfg = TrialConfig(iterations=5, seed=9, scheme="duda")
+        realized = realize(cfg, ("duda", "duca"))
+        # the attempt model (without direction_redraw) and the timing leave
+        # the realizations as they are
+        fixed = replace(cfg, attempt_model="fixed", timing=SlotTiming(s_u=0.2))
+        assert samples_csv(run_campaign(fixed, realized["duda"])) == samples_csv(
+            run_campaign(fixed))
+        for other in (replace(cfg, seed=10), replace(cfg, scheme="duca"),
+                      replace(cfg, attempt_model="fixed", direction_redraw=True)):
+            with pytest.raises(ValueError, match="another campaign configuration"):
+                run_campaign(other, realized["duda"])
+
     def test_generation_abandons_hopeless_intensity(self):
         with pytest.raises(RuntimeError):
-            generate_deployment(1e-9, 0.5, 10.0, RngStream(0, 0))
+            deploy(1e-9, 0.5, 10.0, RngStream(0, 0))
 
 
 class TestTransmittingTerminals:
@@ -407,10 +421,10 @@ class TestTransmittingTerminals:
                 params = replace(TABLE, lambda_b=lam)
                 for it in range(count):
                     stream = RngStream(48, it)
-                    full, rs_full = generate_deployment(
+                    full, rs_full = deploy(
                         lam, TABLE.delta, 75.0, stream, scheme, mode
                     )
-                    lean, rs_lean = generate_deployment(
+                    lean, rs_lean = deploy(
                         lam, TABLE.delta, 75.0, stream, scheme, mode, all_terminals=False
                     )
                     assert rs_lean == rs_full
@@ -439,9 +453,9 @@ class TestTransmittingTerminals:
         seen = []
 
         def record(*args, **kwargs):
-            dep, rs = generate_deployment(*args, **kwargs)
-            seen.append(dep)
-            return dep, rs
+            got = generate_deployment(*args, **kwargs)
+            seen.extend(dep for dep, _ in got.values())
+            return got
 
         monkeypatch.setattr(montecarlo, "generate_deployment", record)
         for scheme in ("duda", "duca"):

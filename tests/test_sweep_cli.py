@@ -367,14 +367,14 @@ class TestCli:
 
     def test_validate_zero_empirical_rho_fails_without_traceback(self, tmp_path: Path):
         # at beta_u = 40 dB, 200 trials see 0 first-attempt UL successes for
-        # duca (its closed form diverges) and 1 for duda: too few for the
+        # duca (its closed form diverges) and 2 for duda: too few for the
         # normal approximation of the 3 SE test, so both checks fail
         cfg = tmp_path / "a.cfg"
         cfg.write_text("beta_u_db = 40\n")
         out = self.run_cli("validate", "--iterations", "200", "--config", str(cfg))
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
-        for scheme, hits in (("duca", 0), ("duda", 1)):
+        for scheme, hits in (("duca", 0), ("duda", 2)):
             line = next(x for x in out.stdout.splitlines() if f"self_consistency_{scheme}" in x)
             assert line.startswith("FAIL ")
             assert f"measured={hits} threshold=10 (first-attempt successes UL={hits} DL=" in line
@@ -419,6 +419,19 @@ class TestCli:
             "configuration error: UL success probability integral did not converge "
             "within 200 subdivisions (value="
         )
+
+    @pytest.mark.parametrize("lambda_b", ["1e-200", "1e-30"])
+    def test_zero_analytic_success_probability_exits_2(self, tmp_path: Path, capsys, lambda_b):
+        # with noise on, a vanishing density leaves no signal above the noise:
+        # (pi*lambda_b)^2 underflows to 0 at 1e-200 (once a ZeroDivisionError
+        # in the noise exponent), and at 1e-30 the Gamma moments underflow
+        # (once a ValueError from the closed form), each with a traceback
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"noise = on\nlambda_b = {lambda_b}\n")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", (
+            "configuration error: the analytic UL success probability is 0 at this "
+            "configuration, so the expected latency diverges\n"))
 
     def test_sweep_with_every_row_failed_exits_2(self, tmp_path: Path, capsys):
         # the CSV still carries every row as NaNs, with a warning per row
@@ -504,3 +517,57 @@ class TestCli:
         )
         assert a.returncode == b.returncode == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestSchemeIndependence:
+    """One realization stage serves both schemes; a scheme's outputs are the
+    same bytes whether it runs alone or beside the other."""
+
+    @staticmethod
+    def _run(tmp_path: Path, capsys, doc: str, *argv: str):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(doc)
+        raw = tmp_path / "raw.csv"
+        samples = ["--samples-out", str(raw)] if argv[0] == "simulate" else []
+        assert main([*argv, "--config", str(cfg), *samples]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        lines = rows[1:] + (raw.read_text().splitlines()[1:] if samples else [])
+        return {scheme: [x for x in lines if f",{scheme}," in x] for scheme in ("duda", "duca")}
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("model", ["independent", "fixed", "fixed redraw"])
+    @pytest.mark.parametrize("command", [
+        ("simulate",), ("sweep", "--sweep", "lambda_b:0.004:0.006:2", "--mode", "simulate"),
+    ], ids=["simulate", "sweep"])
+    def test_alone_equals_beside(self, tmp_path: Path, capsys, mode, model, command):
+        doc = (f"typical_mode = {mode}\nattempt_model = {model.split()[0]}\n"
+               f"direction_redraw = {'on' if 'redraw' in model else 'off'}\n"
+               "iterations = 40\nmax_attempts = 50\nseed = 3\n")
+        both = self._run(tmp_path, capsys, doc, *command, "--scheme", "both")
+        for scheme in ("duda", "duca"):
+            alone = self._run(tmp_path, capsys, doc, *command, "--scheme", scheme)
+            assert alone[scheme] == both[scheme]
+            assert len(alone[scheme]) == (41 if command[0] == "simulate" else 2)
+
+    def test_a_failing_scheme_fails_alone(self, monkeypatch, capsys):
+        # a matching that leaves every station single gives duda no usable
+        # draw; duca's rows are still those it gets alone
+        monkeypatch.setattr(
+            "dudasim.deployment.pair_bs",
+            lambda points, indptr, indices, gen: (np.empty((0, 2), dtype=int),
+                                                  np.arange(len(points))),
+        )
+        text = ("mode = simulate\nsweep_variable = lambda_b\nsweep_start = 0.004\n"
+                "sweep_stop = 0.006\nsweep_steps = 2\niterations = 20\n")
+        rows, _ = sweep_rows(text, scheme="both")
+        alone, _ = sweep_rows(text, scheme="duca")
+        assert rows_to_csv([r for r in rows if r.scheme == "duca"]) == rows_to_csv(alone)
+        assert all(math.isnan(r.latency_mean) for r in rows if r.scheme == "duda")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, value in zip(err, ("0.004", "0.006")):
+            assert line == (
+                f"sweep point lambda_b={value} duda/simulate failed: no usable realization "
+                "in 65 draws: 0 had fewer than 2 base stations (expected lambda_b*side^2 = "
+                f"{float(value) * 150**2:.3g} per window) and 65 left the typical BS unmatched"
+            )

@@ -4,14 +4,17 @@
 their callers look up, so a refactor that moves a call behind another
 binding silently drops its spans.  This runs each workload of
 ``perfbench/workloads.py`` once, with a few trials per campaign, under the
-tracer, and checks the layers each workload declares dominant and
-bypassed.
+tracer with the counting observers that ``perfbench/child.py`` installs, and
+checks the layers each workload declares dominant and bypassed.  The
+observers read what the traced functions return, so a return type they
+cannot read fails here rather than in the benchmark's traced run.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,22 @@ workloads = _load("workloads")
 def test_traced_layers(name):
     workload = workloads.WORKLOADS[name]
     over = {"iterations": TRIALS} if workload.simulate else {}
-    t = tracer.Tracer()
+    counters = Counter()
+
+    def count_ppp(points):
+        counters["bs"] += len(points)
+        counters["realizations"] += 1
+
+    def count_campaign(stats):
+        counters["trials"] += len(stats.samples)
+        counters["attempts"] += int(stats.attempts.sum())
+        counters["censored"] += stats.censored_count
+
+    t = tracer.Tracer({
+        "deployment.sample_ppp": count_ppp,
+        "montecarlo.run_campaign": count_campaign,
+        "montecarlo.run_synthetic_campaign": count_campaign,
+    })
     t.install()
     try:
         for doc in workload.configs(workloads.pass_seed(name, 0, 0)):
@@ -55,3 +73,10 @@ def test_traced_layers(name):
         assert layer in layers, f"{name}: no traced call in {layer}"
     for layer in workload.bypassed:
         assert layer not in layers, f"{name}: traced calls in bypassed {layer}"
+    campaigns = calls.get("montecarlo.run_campaign", 0) + calls.get(
+        "montecarlo.run_synthetic_campaign", 0)
+    assert counters["trials"] == campaigns * int(TRIALS) if workload.simulate else not counters
+    assert counters["attempts"] >= counters["trials"] >= counters["censored"]
+    assert counters["realizations"] == calls.get("deployment.sample_ppp", 0)
+    if counters["realizations"]:
+        assert counters["bs"] > 0

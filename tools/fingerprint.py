@@ -10,13 +10,16 @@ directory with only that tree's ``src`` on the path:
 
 - ``analytic`` with noise off and on, at ``noise_dbm = -80``;
 - ``snapshot --seed 0..3`` for each scheme and typical mode;
-- ``simulate`` for each scheme, attempt model (``fixed`` with and without
-  ``direction_redraw``) and typical mode, with ``--samples-out``;
+- ``simulate`` for each scheme, and for both schemes in one run, for each
+  attempt model (``fixed`` with and without ``direction_redraw``) and
+  typical mode, with ``--samples-out``;
 - the first of those (duda, independent, dl) at ``noise_dbm = -20`` with
   noise off, which must match it, and with noise on;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
-- one small ``sweep --mode both`` per sweep variable, and one sweep per
-  variable that leaves its domain (exit 2 and its message);
+- one small ``sweep --mode both`` per sweep variable, one ``simulate``
+  sweep of both schemes in "ul" typical mode with ``direction_redraw``,
+  and one sweep per variable that leaves its domain (exit 2 and its
+  message);
 - a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
 - ``validate --iterations 500``; ``validate`` in a 1 m window (exit 2 and
   its message); ``validate --iterations 200`` at ``beta_u_db = 40``, where
@@ -60,7 +63,7 @@ def cases():
                 out.append((f"snapshot {scheme} {mode} seed={seed}",
                             CLI + ["snapshot", "--scheme", scheme, "--seed", str(seed)],
                             f"typical_mode = {mode}\n", []))
-    for scheme in ("duda", "duca"):
+    for scheme in ("duda", "duca", "both"):
         for model, redraw in (("independent", "off"), ("fixed", "off"), ("fixed", "on")):
             for mode in ("dl", "ul"):
                 doc = (f"attempt_model = {model}\ndirection_redraw = {redraw}\n"
@@ -69,7 +72,7 @@ def cases():
                             CLI + ["simulate", "--scheme", scheme, "--iterations", "150",
                                    "--samples-out", "samples.csv"],
                             doc, ["samples.csv"]))
-    name, argv, doc, files = out[-12]
+    name, argv, doc, files = out[-18]
     for noise in ("off", "on"):
         out.append((f"{name} noise={noise} noise_dbm=-20", argv + ["--noise", noise],
                     doc + "noise_dbm = -20\n", files))
@@ -83,6 +86,10 @@ def cases():
         out.append((f"sweep {sweep}",
                     CLI + ["sweep", "--sweep", sweep, "--mode", "both", "--iterations", "60"],
                     "", []))
+    out.append(("sweep lambda_b:0.004:0.006:2 both schemes, ul, fixed, redraw",
+                CLI + ["sweep", "--sweep", "lambda_b:0.004:0.006:2", "--mode", "simulate",
+                       "--scheme", "both", "--iterations", "60"],
+                "typical_mode = ul\nattempt_model = fixed\ndirection_redraw = on\n", []))
     for sweep in ("s_u:0.1:1.5:3", "rho_product:0:1:3", "delta:0.2:1:3",
                   "lambda_b:0:0.006:3", "beta_u_db:-4000:0:3", "beta_d_db:-4000:0:3"):
         out.append((f"sweep {sweep} (out of domain)", CLI + ["sweep", "--sweep", sweep], "", []))
