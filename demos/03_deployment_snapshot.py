@@ -30,10 +30,12 @@ indptr, _, _ = delaunay_adjacency(dep.bs_positions)
 degrees = np.diff(indptr)
 print(f"mean Delaunay degree: {np.mean(degrees):.2f}")
 
-print(f"DL-active cells:   {int(dep.active_dl.sum())}/{len(dep.units)}")
+others = np.arange(len(dep.units)) != dep.probe_units[0]  # the probe's unit carries it
+print(f"DL-active cells:   {int(dep.active_dl[others].sum())}/{len(dep.units)}")
 
-ul_bs, dl_bs = dep.units[dep.probe]
-ue = dep.ues[dep.probe]
+ul_bs = dep.probe_bs[0]  # the probe's serving station; its partner sends the ACK
+dl_bs = dep.units[dep.probe_units[0]].sum() - ul_bs
+ue = dep.probe_ues[0]
 r_ul = np.linalg.norm(dep.bs_positions[ul_bs] - ue)
 r_dl = np.linalg.norm(dep.bs_positions[dl_bs] - ue)
 print(f"probe UL distance: {r_ul:.2f} m (terminal to its nearest station)")

@@ -9,23 +9,42 @@ station receives the UL and its partner sends the DL, or an unmatched
 station (i, i), which does both.  Each unit draws an active link direction
 from the DL traffic ratio delta and receives one uniformly placed terminal.
 
-``generate_deployment`` anchors the probe link at the origin: the station
-nearest the origin serves the probe's UL (for the decoupled scheme, its
-matched partner serves the DL ACK).  In "dl" typical mode the probe
-terminal sits at the origin, so the serving distance follows the
-nearest-neighbour law organically.  In "ul" typical mode a BS is pinned at
-the origin and the probe terminal is placed at a distance drawn from the
-same nearest-neighbour law, which is the distance distribution the
-analytical model assumes.  A decoupled draw whose serving station ends the
-matching unmatched has no DUDA link and is redrawn.
+A realization carries probes, two-way transactions whose success the
+simulation evaluates.  A probe's serving station receives its UL; for the
+decoupled scheme the station's matched partner sends the DL ACK, and a
+probe whose serving station ends the matching unmatched has no DUDA link
+and is dropped.  For each probe its own unit is silent, and every other
+unit interferes only with a transmitter inside the square of half-width
+``window_half_width`` centred at the probe's anchor.
+
+``generate_deployment`` draws one of two kinds of realization:
+
+* One probe at the origin (``snapshot``, the demos), stations in the window
+  of half-width ``window_half_width``.  In "dl" typical mode the probe
+  terminal sits at the origin and its nearest station serves it, so the
+  serving distance follows the nearest-neighbour law organically.  In "ul"
+  mode a station is pinned at the origin, with the probe terminal at a
+  distance drawn from that law, the distribution the analytical model
+  assumes.  The mask then covers the whole window.
+* Many probes in a guarded window (``guarded``, the campaigns): stations in
+  half-width ``window_half_width`` + h, h = ``window_half_width`` / 2, and
+  probes in the central square of half-width h.  In "dl" mode
+  round(lambda_b (2h)^2) terminals, at least one, are uniform in it, each
+  served by its nearest station and anchored at itself.  In "ul" mode each
+  station of the square is pinned (Slivnyak) with a terminal drawn as
+  above, and anchored at the station.  Every mask lies inside the window,
+  so (realization, probe) has the law of the one-probe draw: the Palm
+  distribution of the terminal process (Baccelli and Blaszczyszyn,
+  *Stochastic Geometry and Wireless Networks*, vol. I; Haenggi,
+  *Stochastic Geometry for Wireless Networks*, ch. 8).
 
 The coupled baseline ("duca") reuses the machinery with pairing disabled:
 every BS is its own unit, with an independent direction and a terminal in
-its own cell, and the probe terminal talks to its nearest BS both ways.
+its own cell, and the probe terminal talks to its serving BS both ways.
 
-One call serves several schemes from shared draws: the stations, the probe
-terminal, each station's direction uniform and the terminal candidates of
-a draw are the same for every scheme that takes it, and one kd-tree lookup
+One call serves several schemes from shared draws: the stations, the
+probes, each station's direction uniform and the terminal candidates of a
+draw are the same for every scheme that takes it, and one kd-tree lookup
 per candidate batch places the terminals of all of them.
 """
 
@@ -74,22 +93,31 @@ class NoRealizationError(RuntimeError):
 
 @dataclass
 class Deployment:
-    """One spatial realization plus the probe-link anchoring.
+    """One spatial realization and its usable probes.
 
     Row g of ``units`` is (ul_bs, dl_bs): in a pair, the member nearer the
     unit's terminal ``ues[g]`` receives UL; an unmatched station i is (i, i).
-    Pairs come first, then the unmatched stations.  Row ``probe`` holds the
-    probe's serving stations and terminal, with ``active_dl`` False, as it
-    carries the two-way transaction.  A deployment built with
+    Pairs come first, then the unmatched stations.  A deployment built with
     ``all_terminals=False`` has NaN ``ues`` rows for the DL-active unmatched
     stations, whose terminals only receive.
+
+    Probe k is the terminal ``probe_ues[k]``, whose UL station
+    ``probe_bs[k]`` is a member of unit ``probe_units[k]``; the unit's other
+    member (the station itself, if unmatched) sends its DL.  For probe k
+    its own unit is silent, and another unit interferes only with a
+    transmitter inside the square of half-width ``mask_half_width`` centred
+    at ``anchors[k]``.
     """
 
     bs_positions: np.ndarray              # (N, 2)
     units: np.ndarray                     # (G, 2) int, (ul_bs, dl_bs)
     active_dl: np.ndarray                 # (G,) bool, the drawn link direction
     ues: np.ndarray                       # (G, 2)
-    probe: int                            # row of units
+    probe_bs: np.ndarray                  # (K,) int, station serving each probe's UL
+    probe_units: np.ndarray               # (K,) int, row of units of each probe
+    probe_ues: np.ndarray                 # (K, 2)
+    anchors: np.ndarray                   # (K, 2), centre of each probe's mask
+    mask_half_width: float
     degenerate: bool = False
 
 
@@ -262,19 +290,18 @@ def assign_directions_and_ues(
     points: np.ndarray,
     delta: float,
     gen: np.random.Generator,
-    probe_bs: int,
-    probe_ue: np.ndarray,
     *,
     window_half_width: float,
     all_terminals: bool = True,
-) -> List[Deployment]:
-    """Draw link directions and terminal positions around a given probe, one
-    deployment per partition of the stations into units.
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw link directions and terminal positions, one unit table per
+    partition of the stations into units.
 
     Each partition is (pairs, unpaired): a (P, 2) int array and an int array
     that together hold every station once.  The stations must be distinct
-    points inside the window.  Station ``probe_bs`` serves the probe's UL,
-    and ``probe_ue`` is the terminal of its unit.
+    points inside the window.  Returns, per partition, (units, active_dl,
+    ues, unit_of_bs) as ``Deployment`` holds the first three, and the unit
+    row of each station.
 
     ``gen`` first gives one uniform per station; a unit is DL-active when the
     uniform of its lower-index station is below delta, so each partition's
@@ -283,7 +310,7 @@ def assign_directions_and_ues(
     every partition are then placed from one candidate stream, each partition
     getting the terminals it would get alone.
 
-    With ``all_terminals`` false, only the terminals that a deployment's own
+    With ``all_terminals`` false, only the terminals that a unit table's own
     directions read are placed: one per pair (it orients the pair) and one
     per UL-active unmatched station.  A DL-active unmatched station's row of
     ``ues`` is then NaN.  Nothing is drawn after the terminals, so every
@@ -294,8 +321,6 @@ def assign_directions_and_ues(
     n = len(points)
     if n == 0:
         raise ValueError("realization contains no base stations")
-    if not 0 <= probe_bs < n:
-        raise ValueError(f"probe_bs must index one of the {n} stations")
     # otherwise some terminal region has no area and placement never ends
     xy = points[np.lexsort(points.T)]
     if np.abs(points).max() > window_half_width or (xy[1:] == xy[:-1]).all(axis=1).any():
@@ -311,34 +336,53 @@ def assign_directions_and_ues(
         units = np.concatenate([pairs, unpaired[:, None].repeat(2, axis=1)])
         group_of_bs = np.empty(n, dtype=int)
         group_of_bs[units] = np.arange(len(units))[:, None]
-        probe = int(group_of_bs[probe_bs])
         active_dl = u[units.min(axis=1)] < delta
         # Terminals: one per unit, uniform in the union of its stations'
-        # cells.  The probe's own unit is skipped: its terminal is the probe
-        # terminal, set below.  Without all_terminals, so are the DL-active
-        # unmatched stations' units.
+        # cells; without all_terminals, none for the DL-active unmatched
+        # stations' units.
         need = all_terminals | ~active_dl | (units[:, 0] != units[:, 1])
-        need[probe] = False
-        layouts.append((units, probe, active_dl))
+        layouts.append((units, active_dl, group_of_bs))
         groupings.append((group_of_bs, need))
     placed = _uniform_in_groups(points, groupings, window_half_width, gen)
 
-    deployments = []
-    for (units, probe, active_dl), ues in zip(layouts, placed):
-        # Orient each unit: the member nearer its terminal receives UL,
-        # except in the probe's unit, where the serving station does.  A row
-        # (i, i) cannot flip, so a deployment without pairs skips this.
+    out = []
+    for (units, active_dl, group_of_bs), ues in zip(layouts, placed):
+        # Orient each unit: the member nearer its terminal receives UL.  A
+        # row (i, i) cannot flip, so a table without pairs skips this.
         if (units[:, 0] != units[:, 1]).any():
             d2 = ((points[units] - ues[:, None]) ** 2).sum(axis=2)
             flip = d2[:, 1] < d2[:, 0]
-            flip[probe] = units[probe, 1] == probe_bs
             units[flip] = units[flip, ::-1]
-        ues[probe] = probe_ue
-        active_dl[probe] = False
-        deployments.append(Deployment(
-            bs_positions=points, units=units, active_dl=active_dl, ues=ues, probe=probe
-        ))
-    return deployments
+        out.append((units, active_dl, ues, group_of_bs))
+    return out
+
+
+# The guard h of a guarded draw, as a fraction of window_half_width, and its
+# "dl" probes per expected station of the probe square of half-width h.
+# Chosen once from CPU per effective probe at three densities (README,
+# "Many probes per realization").
+_GUARD = 0.5
+_PROBES_PER_STATION = 1.0
+
+
+def _draw_probes(
+    pts: np.ndarray, lambda_b: float, guard: float, count: int, typical_mode: str,
+    gen: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(serving station, terminal, anchor) of each probe of a draw, in the
+    probe square of half-width ``guard``: ``count`` uniform terminals, each
+    served by its nearest station ("dl"), or every station in the square
+    with a terminal at a nearest-neighbour-law distance ("ul")."""
+    if typical_mode == "dl":
+        from scipy.spatial import cKDTree
+
+        ues = gen.uniform(-guard, guard, size=(count, 2)) if guard else np.zeros((1, 2))
+        return cKDTree(pts).query(ues, workers=1)[1], ues, ues
+    bs = np.flatnonzero((np.abs(pts) <= guard).all(axis=1))
+    r = np.sqrt(gen.exponential(size=len(bs)) / (math.pi * lambda_b))
+    theta = gen.uniform(0.0, 2.0 * math.pi, size=len(bs))
+    ues = pts[bs] + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    return bs, ues, pts[bs]
 
 
 def generate_deployment(
@@ -350,73 +394,81 @@ def generate_deployment(
     typical_mode: str = "dl",
     max_resamples: Union[int, Mapping[str, int]] = 64,
     all_terminals: bool = True,
+    guarded: bool = False,
 ) -> Dict[str, Union[Tuple[Deployment, int], NoRealizationError]]:
-    """One usable realization per scheme, from draws the schemes share.
+    """One realization with usable probes per scheme, from draws the schemes
+    share: one probe at the origin, or with ``guarded`` many probes in the
+    guarded window (see the module docstring).
 
     Returns, for each scheme, (deployment, resamples), or the
     NoRealizationError of a scheme with no usable draw in its
     ``max_resamples`` + 1 (one count for all schemes, or one per scheme).
 
     Draw ``attempt`` reads ``stream.generator(attempt)`` for the stations,
-    the "ul"-mode probe terminal and then, for the decoupled scheme, the
-    matching's visiting order; ``stream.generator(attempt, 1)`` gives the
-    directions and terminals (``assign_directions_and_ues``).  A draw with
-    fewer than 2 stations is redrawn for every scheme.  The coupled scheme
-    takes any other draw; the decoupled scheme redraws alone while the
-    probe's serving station ends the matching unmatched.  Each scheme thus
-    gets the deployment it would get alone, and the schemes that take the
-    same draw share its stations, directions and terminal candidates.
-    ``all_terminals`` is passed to ``assign_directions_and_ues``.
+    the probes and then, for the decoupled scheme, the matching's visiting
+    order; ``stream.generator(attempt, 1)`` gives the directions and
+    terminals (``assign_directions_and_ues``).  A draw with fewer than 2
+    stations, or no probe, is redrawn for every scheme.  The coupled scheme
+    takes any other draw with all its probes; the decoupled scheme keeps the
+    probes whose serving station it matched, and redraws alone while there
+    are none.  Each scheme thus gets the deployment it would get alone, and
+    the schemes that take the same draw share its stations, probes,
+    directions and terminal candidates.  ``all_terminals`` is passed to
+    ``assign_directions_and_ues``.
     """
     for scheme in schemes:
         if scheme not in ("duda", "duca"):
             raise ValueError("scheme must be 'duda' or 'duca'")
     if typical_mode not in ("ul", "dl"):
         raise ValueError("typical_mode must be 'ul' or 'dl'")
+    guard = _GUARD * window_half_width if guarded else 0.0
+    count = max(1, round(_PROBES_PER_STATION * lambda_b * (2.0 * guard) ** 2))
     caps = (dict(max_resamples) if isinstance(max_resamples, Mapping)
             else dict.fromkeys(schemes, max_resamples))
     done: Dict[str, Union[Tuple[Deployment, int], NoRealizationError]] = {}
-    sparse = 0
+    sparse = empty = 0
     for attempt in range(max(caps.values()) + 1):
         wanted = [s for s in schemes if s not in done]
         gen = stream.generator(attempt)
-        pts = sample_ppp(lambda_b, window_half_width, gen)
-        if typical_mode == "ul":
+        pts = sample_ppp(lambda_b, window_half_width + guard, gen)
+        if typical_mode == "ul" and not guarded:
             pts = np.vstack([np.zeros((1, 2)), pts])
-        taken = {}  # scheme -> (pairs, unpaired, degenerate) of the draws it takes
+        taken = {}  # scheme -> (pairs, unpaired, degenerate, usable probes) of its draws
         if len(pts) < 2:
             sparse += 1
         else:
-            probe_bs = int(np.argmin(np.linalg.norm(pts, axis=1)))
-            probe_ue = np.zeros(2)
-            if typical_mode == "ul":
-                r = math.sqrt(gen.exponential() / (math.pi * lambda_b))
-                theta = gen.uniform(0.0, 2.0 * math.pi)
-                probe_ue = pts[probe_bs] + np.array([r * math.cos(theta), r * math.sin(theta)])
-            for scheme in wanted:
+            probe_bs, probe_ues, anchors = _draw_probes(
+                pts, lambda_b, guard, count, typical_mode, gen)
+            empty += not len(probe_bs)
+            for scheme in wanted if len(probe_bs) else ():
                 if scheme == "duca":
-                    taken[scheme] = np.empty((0, 2), dtype=int), np.arange(len(pts)), False
+                    taken[scheme] = (np.empty((0, 2), dtype=int), np.arange(len(pts)), False,
+                                     np.ones(len(probe_bs), dtype=bool))
                     continue
                 indptr, indices, degen = delaunay_adjacency(pts)
                 pairs, unpaired = pair_bs(pts, indptr, indices, gen)
-                if not (unpaired == probe_bs).any():
-                    taken[scheme] = pairs, unpaired, degen
+                usable = ~np.isin(probe_bs, unpaired)
+                if usable.any():
+                    taken[scheme] = pairs, unpaired, degen, usable
         if taken:
-            deps = assign_directions_and_ues(
+            layouts = assign_directions_and_ues(
                 [t[:2] for t in taken.values()], pts, delta, stream.generator(attempt, 1),
-                probe_bs, probe_ue, window_half_width=window_half_width,
-                all_terminals=all_terminals,
+                window_half_width=window_half_width + guard, all_terminals=all_terminals,
             )
-            for (scheme, (_, _, degen)), dep in zip(taken.items(), deps):
-                dep.degenerate = degen
-                done[scheme] = dep, attempt
+            for (scheme, (_, _, degen, use)), (units, active_dl, ues, unit_of_bs) in zip(
+                    taken.items(), layouts):
+                done[scheme] = Deployment(
+                    pts, units, active_dl, ues, probe_bs[use], unit_of_bs[probe_bs[use]],
+                    probe_ues[use], anchors[use], window_half_width, degen,
+                ), attempt
         for scheme in wanted:
             if scheme not in done and attempt == caps[scheme]:
                 expected = lambda_b * (2.0 * window_half_width) ** 2
+                none = f", {empty} had no station in the probe square" if empty else ""
                 done[scheme] = NoRealizationError(
                     f"no usable realization in {attempt + 1} draws: {sparse} had fewer than "
-                    f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window) "
-                    f"and {attempt + 1 - sparse} left the typical BS unmatched"
+                    f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window)"
+                    f"{none} and {attempt + 1 - sparse - empty} left the typical BS unmatched"
                 )
         if len(done) == len(schemes):
             break
@@ -426,19 +478,24 @@ def generate_deployment(
 def snapshot_csv(dep: Deployment) -> str:
     """Deployment snapshot as CSV text with columns x, y, role, pair_id:
     unit by unit, its stations (UL, then DL) and then its terminal.  A
-    pair's rows carry its unit row as pair_id, an unmatched station's -1."""
+    pair's rows carry its unit row as pair_id, an unmatched station's -1.
+    The first probe's unit is the typical one: its serving station receives
+    the UL and its terminal is the probe terminal."""
     lines = ["x,y,role,pair_id"]
 
     def add(pos, role, pid):
         lines.append(f"{pos[0]:.9g},{pos[1]:.9g},{role},{pid}")
 
+    probe, serving = int(dep.probe_units[0]), int(dep.probe_bs[0])
     for g, (i, j) in enumerate(dep.units.tolist()):
-        tag = "_typical" if g == dep.probe else ""
+        tag, ue = "", dep.ues[g]
+        if g == probe:
+            tag, ue, i, j = "_typical", dep.probe_ues[0], serving, i + j - serving
         pid = g if i != j else -1
         if i != j:
             add(dep.bs_positions[i], f"bs{tag}_ul", pid)
             add(dep.bs_positions[j], f"bs{tag}_dl", pid)
         else:
             add(dep.bs_positions[i], "bs_typical_ul" if tag else "bs_unpaired", pid)
-        add(dep.ues[g], f"ue{tag}", pid)
+        add(ue, f"ue{tag}", pid)
     return "\n".join(lines) + "\n"

@@ -6,6 +6,14 @@ same attempt, recording the attempt count and the resulting latency
 sample.  Per-direction first-attempt success frequencies estimate
 (rho_u, rho_d).
 
+A trial is one probe of a guarded realization (``deployment``): each
+realization serves about one trial per station of its central square, so
+trials of one realization are correlated.  ``Realization.clusters`` keeps
+each trial's realization, and ``LatencyStats.rho_se`` the cluster-robust
+standard errors of the first-attempt frequencies over realizations.
+``LatencyStats.ci95_half_width`` stays the per-trial interval, which does
+not charge that correlation.
+
 Exact conditional success probabilities
 ---------------------------------------
 Fading is Rayleigh (unit-mean exponential power gains), so a frozen
@@ -18,10 +26,11 @@ where S is the received signal power, sigma^2 the noise power
 power each interfering unit delivers to the receiver from its active
 transmitter (its DL base station or its terminal).  This is the
 conditional success probability behind the SINR meta distribution
-(Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers as
-soon as it is generated (``realize``, one stage for the campaigns of every
-scheme, which share their draws); the retry loop then needs only Bernoulli
-and geometric draws, done for each campaign at once (``run_campaign``).
+(Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers,
+for all its probes at once, as soon as it is generated (``realize``, one
+stage for the campaigns of every scheme, which share their draws); the
+retry loop then needs only Bernoulli and geometric draws, done for each
+campaign at once (``run_campaign``).
 
 Attempt models
 --------------
@@ -74,6 +83,9 @@ class LatencyStats:
     empirical_rho_d: float
     resample_count: int
     scheme: str
+    # cluster-robust standard errors of (empirical_rho_u, empirical_rho_d)
+    # over the realizations that the trials' first attempts read
+    rho_se: Tuple[float, float]
 
     @property
     def censored_count(self) -> int:
@@ -85,6 +97,8 @@ class LatencyStats:
 
     @property
     def ci95_half_width(self) -> float:
+        """Per-trial 95% half-width of the mean latency: it treats the trials
+        as independent, which those sharing a realization are not."""
         n = len(self.samples)
         return float(1.96 * np.std(self.samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
@@ -93,42 +107,67 @@ class LatencyStats:
         return self.censored_count / max(len(self.samples), 1)
 
 
+# probes x units entries per block of success_probabilities' matrices
+_PROBE_BLOCK = 1 << 16
+
+
 def success_probabilities(
     dep: Deployment, params: SystemParams, direction_redraw: bool = False
-) -> Tuple[float, float, float]:
-    """(p_ul, p_dl, p_retry) of a frozen deployment under Rayleigh fading.
+) -> np.ndarray:
+    """(p_ul, p_dl, p_retry) of each probe of a frozen deployment under
+    Rayleigh fading, as a (3, K) array.
 
-    p_ul and p_dl are the probabilities that the probe's UL (at its serving
-    BS) and DL (at the probe terminal) pass with the deployment's own
-    directions.  p_retry is the probability that a "fixed"-model retry
-    passes both: p_ul * p_dl, or with direction_redraw the product over
-    units of the shared-direction mixture (see the module docstring).
+    p_ul and p_dl are the probabilities that probe k's UL (at its serving
+    BS) and DL (at its terminal) pass with the deployment's own directions,
+    its own unit silent and the other units masked to its square.  p_retry
+    is the probability that a "fixed"-model retry passes both: p_ul * p_dl,
+    or with direction_redraw the product over units of the shared-direction
+    mixture (see the module docstring).  Each unit's power at each receiver
+    is computed once, for blocks of probes at a time.
     """
-    keep = np.arange(len(dep.units)) != dep.probe
-    tx_bs = dep.bs_positions[dep.units[:, 1][keep]]
-    tx_ue = dep.ues[keep]
-    active = dep.active_dl[keep]
+    bs, units, alpha, half = dep.bs_positions, dep.units, params.alpha, dep.mask_half_width
+    # each unit's DL station and terminal, as (x, y) rows
+    tx = ((params.p_b, bs[units[:, 1]].T), (params.p_m, dep.ues.T))
+    active = dep.active_dl
+    k = len(dep.probe_bs)
+    out = np.empty((3, k))
+    step = max(1, _PROBE_BLOCK // len(units))
+    for lo in range(0, k, step):
+        blk = slice(lo, lo + step)
+        serving, own, ue = dep.probe_bs[blk], dep.probe_units[blk], dep.probe_ues[blk]
+        rx_ul = bs[serving]
+        tx_dl = bs[units[own].sum(axis=1) - serving]  # the own unit's other member
+        ax, ay = dep.anchors[blk].T[:, :, None]
+        # per (probe, unit) and transmitter: False for the probe's own unit
+        # and for a transmitter outside its mask (NaN terminals included)
+        heard = [(np.abs(x - ax) <= half) & (np.abs(y - ay) <= half) for _, (x, y) in tx]
+        for h in heard:
+            h[np.arange(len(own)), own] = False
 
-    def log_pass(rx: np.ndarray, tx: np.ndarray, tx_power: float, beta: float):
-        """Noise term and per-unit log pass factors, -log1p(beta*c/S), with
-        the unit's BS or its terminal transmitting."""
-        b = beta / (tx_power * float(np.linalg.norm(tx - rx)) ** (-params.alpha))  # beta/S
-        bs = -np.log1p(b * params.p_b * np.linalg.norm(tx_bs - rx, axis=1) ** (-params.alpha))
-        ue = -np.log1p(b * params.p_m * np.linalg.norm(tx_ue - rx, axis=1) ** (-params.alpha))
-        return -b * params.noise_power, bs, ue
+        def log_pass(rx, tx_s, tx_power, beta):
+            """Noise term and per-unit log pass factors, -log1p(beta*c/S),
+            with the unit's BS or its terminal transmitting; 0 where unheard."""
+            b = beta * ((tx_s - rx) ** 2).sum(axis=1) ** (alpha / 2) / tx_power  # beta/S
+            (rx_x, rx_y), terms = rx.T[:, :, None], []
+            for (power, (x, y)), h in zip(tx, heard):
+                d2 = (x - rx_x) ** 2 + (y - rx_y) ** 2
+                d2[~h] = np.inf
+                terms.append(-np.log1p(b[:, None] * power * d2 ** (-alpha / 2)))
+            return -b * params.noise_power, *terms
 
-    rx_ul, tx_dl = dep.bs_positions[dep.units[dep.probe]]
-    ue = dep.ues[dep.probe]
-    noise_ul, bs_ul, ue_ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
-    noise_dl, bs_dl, ue_dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
-    p_ul = float(np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum()))
-    p_dl = float(np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum()))
-    if not direction_redraw:
-        return p_ul, p_dl, p_ul * p_dl
-    mixture = np.logaddexp(
-        np.log(params.delta) + bs_ul + bs_dl, np.log1p(-params.delta) + ue_ul + ue_dl
-    )
-    return p_ul, p_dl, float(np.exp(noise_ul + noise_dl + mixture.sum()))
+        noise_ul, bs_ul, ue_ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
+        noise_dl, bs_dl, ue_dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
+        p = out[:, blk]
+        p[0] = np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum(axis=1))
+        p[1] = np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum(axis=1))
+        if not direction_redraw:
+            p[2] = p[0] * p[1]
+            continue
+        mixture = np.logaddexp(
+            np.log(params.delta) + bs_ul + bs_dl, np.log1p(-params.delta) + ue_ul + ue_dl
+        )
+        p[2] = np.exp(noise_ul + noise_dl + mixture.sum(axis=1))
+    return out
 
 
 def draw_attempts(p_ul, p_dl, p_retry, max_attempts: int, rng):
@@ -174,15 +213,28 @@ def _realization_key(config: TrialConfig) -> tuple:
             config.typical_mode, redraw)
 
 
+def cluster_se(x: np.ndarray, clusters: np.ndarray) -> float:
+    """Standard error of the mean of x when the values of one cluster may be
+    correlated and clusters are independent: the root of the sum over the G
+    clusters of the squared sum of their deviations from the mean, times
+    G/(G - 1) for the mean's own estimation, over n.  NaN for fewer than 2
+    clusters.  With one value per cluster it is the i.i.d. standard error."""
+    dev = np.bincount(clusters, weights=x - x.mean())
+    g = np.count_nonzero(np.bincount(clusters))
+    return float(np.sqrt(dev @ dev * g / (g - 1))) / len(x) if g > 1 else math.nan
+
+
 @dataclass
 class Realization:
-    """One scheme's realizations for a campaign: iteration ``it``'s
-    deployment reduced to column ``it`` of (p_ul, p_dl, p_retry) as it was
-    generated, and the resamples they took, or the error that stopped them."""
+    """One scheme's realizations for a campaign: trial ``it``'s probe
+    reduced to column ``it`` of (p_ul, p_dl, p_retry) as it was generated,
+    the realization it came from, and the resamples they took, or the error
+    that stopped them."""
 
     scheme: str
     key: tuple                            # _realization_key of the campaigns it serves
     probs: np.ndarray                     # (3, iterations)
+    clusters: np.ndarray                  # (iterations,) realization index of each trial
     resamples: int = 0
     error: Optional[NoRealizationError] = None
 
@@ -190,45 +242,57 @@ class Realization:
 def realize(config: TrialConfig, schemes: Sequence[str]) -> Dict[str, Realization]:
     """The realization stage of the campaigns of ``config`` for each scheme.
 
-    Iteration ``it`` draws on ``RngStream(seed, it)`` one deployment for
-    every scheme still running (``generate_deployment``, where the schemes
-    share their draws) and reduces each to its exact conditional success
-    probabilities at once.  Only the terminals that transmit are placed,
-    unless ``direction_redraw`` lets every unit transmit from its terminal.
+    Realization r draws on ``RngStream(seed, r)`` one guarded deployment
+    with many probes for every scheme still running (``generate_deployment``
+    with ``guarded``, where the schemes share their draws), and reduces each
+    usable probe to its exact conditional success probabilities at once.  A
+    scheme's trials are its first ``iterations`` usable probes, in order.
+    Only the terminals that transmit are placed, unless ``direction_redraw``
+    lets every unit transmit from its terminal.  ``resamples`` counts the
+    draws that gave the scheme no usable probe (fewer than 2 stations, no
+    probe, or, for the decoupled scheme, every probe's station unmatched).
     A scheme resamples at most 10x iterations times in all; one that runs
-    out, or finds no usable draw in 65, stops with its NoRealizationError
-    while the others go on.  A scheme gets the same realizations whichever
-    other schemes run beside it.
+    out, or finds no usable draw in 65 for one realization, stops with its
+    NoRealizationError while the others go on.  A scheme gets the same
+    realizations whichever other schemes run beside it.
     """
     params, n = config.params, config.iterations
     redraw = config.attempt_model == "fixed" and config.direction_redraw
     key = _realization_key(config)
-    out = {s: Realization(s, key, np.empty((3, n))) for s in schemes}
-    for it in range(n):
-        caps = {s: min(64, 10 * n - r.resamples) for s, r in out.items() if r.error is None}
+    out = {s: Realization(s, key, np.empty((3, n)), np.empty(n, dtype=np.int64))
+           for s in schemes}
+    filled = dict.fromkeys(schemes, 0)
+    r = 0
+    while True:
+        caps = {s: min(64, 10 * n - o.resamples) for s, o in out.items()
+                if o.error is None and filled[s] < n}
         if not caps:
             break
         got = generate_deployment(
             params.lambda_b, params.delta, config.window_half_width,
-            RngStream(config.seed, it), tuple(caps), config.typical_mode, caps,
-            all_terminals=redraw,
+            RngStream(config.seed, r), tuple(caps), config.typical_mode, caps,
+            all_terminals=redraw, guarded=True,
         )
         for scheme, result in got.items():
-            r = out[scheme]
+            o, lo = out[scheme], filled[scheme]
             if isinstance(result, NoRealizationError):
-                r.error = result if caps[scheme] == 64 else NoRealizationError(
+                o.error = result if caps[scheme] == 64 else NoRealizationError(
                     f"{result}; the campaign's cap of {10 * n} resamples (10x iterations) "
-                    f"ran out at iteration {it}"
+                    f"ran out at iteration {lo}"
                 )
             else:
                 dep, rs = result
-                r.resamples += rs
-                r.probs[:, it] = success_probabilities(dep, params, redraw)
+                o.resamples += rs
+                probs = success_probabilities(dep, params, redraw)[:, :n - lo]
+                filled[scheme] = hi = lo + probs.shape[1]
+                o.probs[:, lo:hi] = probs
+                o.clusters[lo:hi] = r
+        r += 1
     return out
 
 
 def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) -> LatencyStats:
-    """Run a full campaign: one deployment per iteration, one trial each.
+    """Run a full campaign: one trial per probe of the realization stage.
 
     ``realized`` is the scheme's entry of ``realize`` for a configuration
     with the same realizations (the same parameters, iterations, seed,
@@ -245,12 +309,14 @@ def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) ->
         raise realized.error
     n = config.iterations
     p_ul, p_dl, p_retry = realized.probs
+    clusters = dl_clusters = realized.clusters
     rng = _campaign_rng(config.seed, 0xA77E)
     if config.attempt_model == "independent":
         # every DL phase, the first included, sees a uniformly drawn
         # ensemble member; only the first UL phase sees the trial's own
         p_retry = p_ul.mean() * p_dl.mean()
-        p_dl = p_dl[rng.integers(n, size=n)]
+        pick = rng.integers(n, size=n)
+        p_dl, dl_clusters = p_dl[pick], clusters[pick]
     attempts, censored, ul_first, dl_first = draw_attempts(
         p_ul, p_dl, p_retry, config.max_attempts, rng
     )
@@ -262,6 +328,7 @@ def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) ->
         empirical_rho_d=float(dl_first.mean()),
         resample_count=realized.resamples,
         scheme=config.scheme,
+        rho_se=(cluster_se(ul_first, clusters), cluster_se(dl_first, dl_clusters)),
     )
 
 
@@ -384,6 +451,8 @@ def run_synthetic_campaign(
         empirical_rho_d=float(dl_first.mean()),
         resample_count=0,
         scheme=scheme,
+        rho_se=(cluster_se(ul_first, np.arange(iterations)),
+                cluster_se(dl_first, np.arange(iterations))),
     )
 
 

@@ -187,16 +187,22 @@ def check_gap_identity(n_points: int, seed: int) -> ValidationCheck:
 
 
 def check_analytic_vs_simulation(bundle: ConfigBundle, stats) -> List[ValidationCheck]:
-    def check(name: str, analytic: float, p: float, bound: float) -> ValidationCheck:
+    def check(name: str, analytic: float, p: float, cse: float, bound: float) -> ValidationCheck:
         diff = abs(analytic - p)
-        # binomial standard error of the empirical first-attempt frequency
+        # binomial standard error of the empirical first-attempt frequency,
+        # then the cluster-robust one over realizations, which charges the
+        # correlation of the probes of one realization, and their squared
+        # ratio, the design effect
         se = math.sqrt(p * (1.0 - p) / len(stats.samples))
-        return ValidationCheck(name, diff <= bound, diff, bound,
-                               detail=f"analytic={analytic:.4f} empirical={p:.4f} se={se:.4f}")
+        deff = (cse / se) ** 2 if se > 0 else math.nan
+        return ValidationCheck(name, diff <= bound, diff, bound, detail=(
+            f"analytic={analytic:.4f} empirical={p:.4f} se={se:.4f} "
+            f"cluster_se={cse:.4f} deff={deff:.2f}"))
 
     link = analytic_link(bundle.params)
-    return [check("analytic_vs_mc_rho_u", link.rho_u, stats.empirical_rho_u, 0.03),
-            check("analytic_vs_mc_rho_d", link.rho_d, stats.empirical_rho_d, 0.05)]
+    se_u, se_d = stats.rho_se
+    return [check("analytic_vs_mc_rho_u", link.rho_u, stats.empirical_rho_u, se_u, 0.03),
+            check("analytic_vs_mc_rho_d", link.rho_d, stats.empirical_rho_d, se_d, 0.05)]
 
 
 def check_self_consistency(bundle: ConfigBundle, campaign_stats: dict) -> List[ValidationCheck]:

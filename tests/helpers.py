@@ -180,6 +180,32 @@ def deploy(lambda_b, delta, window_half_width, stream, scheme="duda", typical_mo
     return got
 
 
+def reference_probe_probs(dep, params, k: int = 0) -> Tuple[float, float]:
+    """(p_ul, p_dl) of probe k of a deployment, written apart from
+    ``montecarlo.success_probabilities``: pick each other unit's active
+    transmitter first, keep it if it lies in the probe's mask, and multiply
+    the Rayleigh pass factors 1/(1 + beta*c/S) with the noise factor."""
+    own = dep.probe_units[k]
+    ul_bs = dep.probe_bs[k]
+    dl_bs = dep.units[own].sum() - ul_bs
+    others = np.arange(len(dep.units)) != own
+    active = dep.active_dl[others]
+    tx = np.where(active[:, None], dep.bs_positions[dep.units[others, 1]], dep.ues[others])
+    power = np.where(active, params.p_b, params.p_m)
+    heard = np.abs(tx - dep.anchors[k]).max(axis=1) <= dep.mask_half_width
+    tx, power = tx[heard], power[heard]
+
+    def p_pass(rx, signal, beta):
+        gains = power * np.hypot(*(tx - rx).T) ** (-params.alpha)
+        return math.exp(-beta * params.noise_power / signal) * float(
+            np.prod(1.0 / (1.0 + beta * gains / signal)))
+
+    ue, rx_ul, tx_dl = dep.probe_ues[k], dep.bs_positions[ul_bs], dep.bs_positions[dl_bs]
+    s_ul = params.p_m * math.dist(ue, rx_ul) ** (-params.alpha)
+    s_dl = params.p_b * math.dist(ue, tx_dl) ** (-params.alpha)
+    return p_pass(rx_ul, s_ul, params.beta_u), p_pass(ue, s_dl, params.beta_d)
+
+
 def reference_uniform_in_groups(
     points: np.ndarray,
     group_of_bs: np.ndarray,
@@ -216,7 +242,7 @@ def reference_synthetic_campaign(
     one, kept as its reference: each trial builds ``default_rng([seed, it,
     0x5E7])`` and draws two scalar uniforms (UL, then DL) per attempt until
     both pass or max_attempts is reached.  Returns a LatencyStats."""
-    from dudasim.montecarlo import LatencyStats, latency_samples
+    from dudasim.montecarlo import LatencyStats, cluster_se, latency_samples
 
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
@@ -246,6 +272,8 @@ def reference_synthetic_campaign(
         empirical_rho_d=float(dl_first.mean()),
         resample_count=0,
         scheme=scheme,
+        rho_se=(cluster_se(ul_first, np.arange(iterations)),
+                cluster_se(dl_first, np.arange(iterations))),
     )
 
 

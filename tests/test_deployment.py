@@ -254,7 +254,7 @@ class TestAssignDirections:
         dl = total = 0
         for seed in range(150):
             dep = self._deployment(seed)
-            mask = np.arange(len(dep.units)) != dep.probe
+            mask = np.arange(len(dep.units)) != dep.probe_units[0]
             dl += int(dep.active_dl[mask].sum())
             total += int(mask.sum())
         se = math.sqrt(0.25 / total)
@@ -264,15 +264,12 @@ class TestAssignDirections:
         pts = sample_ppp(LAMBDA, HALF, RngStream(50).generator())
         indptr, indices, _ = delaunay_adjacency(pts)
         pairs, unpaired = pair_bs(pts, indptr, indices, RngStream(51).generator())
-        [dep] = assign_directions_and_ues(
+        [(units, active_dl, _, _)] = assign_directions_and_ues(
             [(pairs, unpaired)], pts, 1.0 - 1e-12, RngStream(52).generator(),
-            int(np.argmin(np.linalg.norm(pts, axis=1))), ORIGIN, window_half_width=HALF,
+            window_half_width=HALF,
         )
-        single = dep.units[:, 0] == dep.units[:, 1]
-        mask = np.arange(len(dep.units)) != dep.probe
-        assert dep.active_dl[mask & ~single].all()
-        assert dep.active_dl[single].all()
-        assert not dep.active_dl[dep.probe]
+        assert len(units) == len(pairs) + len(unpaired)
+        assert active_dl.all()
 
     def test_rejects_bad_delta(self):
         pts = sample_ppp(LAMBDA, HALF, RngStream(53).generator())
@@ -281,7 +278,7 @@ class TestAssignDirections:
         for delta in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 assign_directions_and_ues(
-                    [(pairs, unpaired)], pts, delta, RngStream(55).generator(), 0, ORIGIN,
+                    [(pairs, unpaired)], pts, delta, RngStream(55).generator(),
                     window_half_width=HALF,
                 )
 
@@ -294,12 +291,12 @@ class TestAssignDirections:
             with pytest.raises(ValueError, match="distinct points inside the window"):
                 assign_directions_and_ues(
                     [(np.empty((0, 2), dtype=int), np.arange(3))], points, 0.5,
-                    RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
+                    RngStream(56).generator(), window_half_width=15.0,
                 )
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
                 [(np.empty((0, 2), dtype=int), np.arange(2))], outside * 0.5, 0.5,
-                RngStream(56).generator(), 0, ORIGIN, window_half_width=15.0,
+                RngStream(56).generator(), window_half_width=15.0,
             )
 
     @pytest.mark.parametrize("unpaired", [[0, 1, 2, 3], [2, 3, 3], [2, 4]],
@@ -312,16 +309,7 @@ class TestAssignDirections:
         with pytest.raises(ValueError, match="partition the stations"):
             assign_directions_and_ues(
                 [(np.array([[0, 1]]), np.array(unpaired))], pts, 0.5,
-                RngStream(57).generator(), 0, ORIGIN, window_half_width=15.0,
-            )
-
-    @pytest.mark.parametrize("probe_bs", [-1, 4])
-    def test_rejects_probe_station_out_of_range(self, probe_bs):
-        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
-        with pytest.raises(ValueError, match="probe_bs must index"):
-            assign_directions_and_ues(
-                [(np.array([[0, 1]]), np.array([2, 3]))], pts, 0.5,
-                RngStream(58).generator(), probe_bs, ORIGIN, window_half_width=15.0,
+                RngStream(57).generator(), window_half_width=15.0,
             )
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -333,11 +321,10 @@ class TestAssignDirections:
             deploy(LAMBDA, 0.5, HALF, RngStream(59), **kwargs)
 
     def test_pair_orientation_follows_terminal(self):
+        # the probe's unit too: its terminal orients it as an interferer
         for seed in range(40):
             dep = self._deployment(seed)
             for g, (ul, dl) in enumerate(dep.units):
-                if g == dep.probe:
-                    continue
                 u = dep.ues[g]
                 d_ul = np.linalg.norm(dep.bs_positions[ul] - u)
                 d_dl = np.linalg.norm(dep.bs_positions[dl] - u)
@@ -347,8 +334,6 @@ class TestAssignDirections:
         dep = self._deployment(60)
         pts = dep.bs_positions
         for g, (i, j) in enumerate(dep.units):
-            if g == dep.probe:
-                continue
             u = dep.ues[g]
             d2 = np.sum((pts - u) ** 2, axis=1)
             # an unmatched station's row is (i, i): its own cell
@@ -356,14 +341,18 @@ class TestAssignDirections:
 
     def test_typical_dl_mode_anchoring(self):
         dep = self._deployment(61, typical_mode="dl")
-        assert np.allclose(dep.ues[dep.probe], 0.0)
+        assert np.array_equal(dep.probe_ues, np.zeros((1, 2)))
+        assert np.array_equal(dep.anchors, np.zeros((1, 2)))
         d = np.linalg.norm(dep.bs_positions, axis=1)
-        ul, dl = dep.units[dep.probe]
-        assert ul == int(np.argmin(d)) and dl != ul
+        assert dep.probe_bs.tolist() == [int(np.argmin(d))]
+        assert dep.probe_bs[0] in dep.units[dep.probe_units[0]]
+        assert dep.units[dep.probe_units[0], 0] != dep.units[dep.probe_units[0], 1]
 
     def test_typical_ul_mode_anchoring(self):
         dep = self._deployment(62, typical_mode="ul")
-        assert np.allclose(dep.bs_positions[dep.units[dep.probe, 0]], 0.0)
+        assert dep.probe_bs.tolist() == [0]
+        assert np.array_equal(dep.bs_positions[0], ORIGIN)
+        assert np.array_equal(dep.anchors, np.zeros((1, 2)))
 
     def test_duca_mode_no_pairs(self):
         dep = self._deployment(63, scheme="duca")
@@ -377,8 +366,7 @@ class TestAssignDirections:
             dep, _ = deploy(
                 LAMBDA, 0.5, HALF, RngStream(70, seed), typical_mode="ul"
             )
-            ul_bs, ue = dep.units[dep.probe, 0], dep.ues[dep.probe]
-            dists.append(np.linalg.norm(ue - dep.bs_positions[ul_bs]))
+            dists.append(np.linalg.norm(dep.probe_ues[0] - dep.bs_positions[dep.probe_bs[0]]))
         p = sps.kstest(dists, lambda r: nearest_distance_cdf(r, LAMBDA)).pvalue
         assert p > 0.01
 
@@ -389,9 +377,66 @@ class TestAssignDirections:
             dep, _ = deploy(
                 LAMBDA, 0.5, HALF, RngStream(71, seed), typical_mode="dl"
             )
-            dists.append(np.linalg.norm(dep.bs_positions[dep.units[dep.probe, 0]]))
+            dists.append(np.linalg.norm(dep.bs_positions[dep.probe_bs[0]]))
         p = sps.kstest(dists, lambda r: nearest_distance_cdf(r, LAMBDA)).pvalue
         assert p > 0.01
+
+
+class TestGuardedDeployment:
+    """The campaigns' draws: stations in the window widened by the guard
+    h = HALF / 2, probes in the central square of half-width h."""
+
+    GUARD = HALF / 2
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    def test_probes_and_their_units(self, mode):
+        dropped = 0
+        for seed in range(20):
+            both = generate_deployment(LAMBDA, 0.5, HALF, RngStream(96, seed),
+                                       ("duda", "duca"), mode, guarded=True)
+            (duda, rs_duda), (duca, rs_duca) = both["duda"], both["duca"]
+            assert rs_duca == 0
+            if rs_duda:  # duda redrew: its stations are another draw's
+                continue
+            pts = duca.bs_positions
+            assert np.array_equal(duda.bs_positions, pts)
+            assert np.abs(pts).max() <= HALF + self.GUARD
+            assert np.abs(pts).max() > HALF  # the guard is sampled
+            if mode == "dl":
+                # round(lambda_b (2h)^2) uniform terminals, each served by its
+                # nearest station and anchored at itself
+                assert len(duca.probe_bs) == round(LAMBDA * (2 * self.GUARD) ** 2)
+                assert np.abs(duca.probe_ues).max() <= self.GUARD
+                d2 = ((duca.probe_ues[:, None] - pts) ** 2).sum(axis=2)
+                assert np.array_equal(duca.probe_bs, d2.argmin(axis=1))
+                assert np.array_equal(duca.anchors, duca.probe_ues)
+            else:
+                # every station of the central square, anchored at itself
+                inner = np.flatnonzero((np.abs(pts) <= self.GUARD).all(axis=1))
+                assert np.array_equal(duca.probe_bs, inner)
+                assert np.array_equal(duca.anchors, pts[inner])
+            for dep in (duda, duca):
+                assert dep.mask_half_width == HALF
+                assert (dep.units[dep.probe_units] == dep.probe_bs[:, None]).any(axis=1).all()
+            # duda keeps exactly the probes whose station it matched
+            paired = duda.units[:, 0] != duda.units[:, 1]
+            matched = np.isin(duca.probe_bs, duda.units[paired])
+            assert np.array_equal(duda.probe_bs, duca.probe_bs[matched])
+            assert np.array_equal(duda.probe_ues, duca.probe_ues[matched])
+            dropped += len(matched) - matched.sum()
+        assert dropped > 0
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    def test_each_scheme_alone_as_in_company(self, mode):
+        for seed in range(5):
+            stream = RngStream(97, seed)
+            both = generate_deployment(LAMBDA, 0.5, HALF, stream, ("duda", "duca"), mode,
+                                       guarded=True)
+            for scheme in ("duda", "duca"):
+                alone, rs = deploy(LAMBDA, 0.5, HALF, stream, scheme, mode, guarded=True)
+                assert rs == both[scheme][1]
+                for name, value in vars(alone).items():
+                    assert np.array_equal(value, getattr(both[scheme][0], name)), name
 
 
 class CountingGenerator:
@@ -557,7 +602,8 @@ class TestReproducibilityAndExport:
         assert np.array_equal(a.units, b.units)
         assert np.array_equal(a.ues, b.ues)
         assert np.array_equal(a.active_dl, b.active_dl)
-        assert a.probe == b.probe
+        for name in ("probe_bs", "probe_units", "probe_ues", "anchors"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert snapshot_csv(a) == snapshot_csv(b)
 
     def test_distinct_streams_differ(self):
@@ -612,18 +658,20 @@ class TestReproducibilityAndExport:
             # pair members and their terminal share the pair's id; singles -1
             for g, (i, j) in enumerate(dep.units.tolist()):
                 pid = g if i != j else -1
+                ue = dep.probe_ues[0] if g == dep.probe_units[0] else dep.ues[g]
                 assert stations[xy(dep.bs_positions[i])][1] == pid
                 assert stations[xy(dep.bs_positions[j])][1] == pid
-                assert terminals[xy(dep.ues[g])][1] == pid
+                assert terminals[xy(ue)][1] == pid
             # each typical role once, at the probe's stations and terminal
             roles = [role for _, role, _ in rows]
-            ul_bs, dl_bs = dep.units[dep.probe]
+            probe, ul_bs = dep.probe_units[0], dep.probe_bs[0]
+            dl_bs = dep.units[probe].sum() - ul_bs
             assert roles.count("bs_typical_ul") == roles.count("ue_typical") == 1
             assert stations[xy(dep.bs_positions[ul_bs])][0] == "bs_typical_ul"
-            assert terminals[xy(dep.ues[dep.probe])][0] == "ue_typical"
+            assert terminals[xy(dep.probe_ues[0])][0] == "ue_typical"
             if scheme == "duda":
                 assert roles.count("bs_typical_dl") == 1
-                assert stations[xy(dep.bs_positions[dl_bs])] == ("bs_typical_dl", dep.probe)
+                assert stations[xy(dep.bs_positions[dl_bs])] == ("bs_typical_dl", probe)
             else:
                 assert "bs_typical_dl" not in roles
                 assert stations[xy(dep.bs_positions[ul_bs])] == ("bs_typical_ul", -1)

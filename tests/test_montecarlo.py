@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from dudasim import montecarlo
 from dudasim.deployment import Deployment, RngStream, generate_deployment, seed_words
 from dudasim.latency import latency_duca, latency_duda
 from dudasim.montecarlo import (
     TrialConfig,
+    cluster_se,
     draw_attempts,
     latency_samples,
     realize,
@@ -20,7 +22,7 @@ from dudasim.montecarlo import (
 )
 from dudasim.params import THERMAL_NOISE_DBM, LinkSuccess, SlotTiming, SystemParams, dbm_to_watts
 
-from helpers import deploy, reference_synthetic_campaign
+from helpers import deploy, reference_probe_probs, reference_synthetic_campaign
 
 # the standard table with thermal noise on, as `noise = on` sets it
 TABLE = SystemParams(noise_power=dbm_to_watts(THERMAL_NOISE_DBM))
@@ -34,23 +36,28 @@ class MidpointRng:
         return np.full(size, 0.5 * (low + high))
 
 
+def one_probe(bs_positions, units, active_dl, ues, probe_ue=(0.0, 0.0), probe_unit=0):
+    """A deployment whose one probe, at ``probe_ue``, is served on the UL by
+    the first station of unit ``probe_unit``, with nothing masked."""
+    return Deployment(
+        bs_positions=np.asarray(bs_positions, dtype=float), units=np.asarray(units),
+        active_dl=np.asarray(active_dl), ues=np.asarray(ues, dtype=float),
+        probe_bs=np.array([units[probe_unit][0]]), probe_units=np.array([probe_unit]),
+        probe_ues=np.array([probe_ue], dtype=float), anchors=np.zeros((1, 2)),
+        mask_half_width=math.inf,
+    )
+
+
+def probe_probs(dep, params, direction_redraw=False):
+    """(p_ul, p_dl, p_retry) of a one-probe deployment."""
+    return tuple(success_probabilities(dep, params, direction_redraw)[:, 0].tolist())
+
+
 def isolated_pair_deployment(scheme="duda"):
     """Two cooperating stations, no interferers: the probe pair alone."""
     if scheme == "duda":
-        return Deployment(
-            bs_positions=np.array([[5.0, 0.0], [12.0, 0.0]]),
-            units=np.array([[0, 1]]),
-            active_dl=np.array([False]),
-            ues=np.array([[0.0, 0.0]]),
-            probe=0,
-        )
-    return Deployment(
-        bs_positions=np.array([[5.0, 0.0]]),
-        units=np.array([[0, 0]]),
-        active_dl=np.array([False]),
-        ues=np.array([[0.0, 0.0]]),
-        probe=0,
-    )
+        return one_probe([[5.0, 0.0], [12.0, 0.0]], [[0, 1]], [False], [[8.0, 0.0]])
+    return one_probe([[5.0, 0.0]], [[0, 0]], [False], [[5.0, 1.0]])
 
 
 def with_interferer(dep, bs, ue, active_dl):
@@ -71,16 +78,19 @@ def gain(power, tx, rx, alpha=4.0):
 
 
 def brute_force(dep, params, rng, draws, redraw=False, chunk=10_000):
-    """Pass frequencies of UL, DL, and both in a retry, from per-attempt
-    exponential fading on every link; with ``redraw`` each attempt draws
-    every unit's direction afresh, shared by its UL and DL phases.
-    Returns [(hits, draws)] for p_ul, p_dl and p_retry."""
+    """Pass frequencies of UL, DL, and both in a retry of the first probe of
+    an unmasked deployment, from per-attempt exponential fading on every
+    link; with ``redraw`` each attempt draws every unit's direction afresh,
+    shared by its UL and DL phases.  Returns [(hits, draws)] for p_ul, p_dl
+    and p_retry."""
+    probe = dep.probe_units[0]
     units = [
         (dep.bs_positions[dl], dep.ues[g], dep.active_dl[g])
-        for g, (_, dl) in enumerate(dep.units.tolist()) if g != dep.probe
+        for g, (_, dl) in enumerate(dep.units.tolist()) if g != probe
     ]
-    ul_bs, dl_bs = dep.units[dep.probe]
-    ue = dep.ues[dep.probe]
+    ul_bs = dep.probe_bs[0]
+    dl_bs = dep.units[probe].sum() - ul_bs
+    ue = dep.probe_ues[0]
     rx_ul, rx_dl = dep.bs_positions[ul_bs], ue
     a = params.alpha
     bs_ul = np.array([gain(params.p_b, b, rx_ul, a) for b, _, _ in units])
@@ -111,7 +121,7 @@ class TestSuccessProbabilities:
         # UL pass probability is exactly exp(-1)
         dep = isolated_pair_deployment()
         s_ul = gain(TABLE.p_m, [0.0, 0.0], [5.0, 0.0])
-        p_ul, p_dl, p_retry = success_probabilities(
+        p_ul, p_dl, p_retry = probe_probs(
             dep, replace(TABLE, noise_power=s_ul / TABLE.beta_u)
         )
         assert p_ul == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -122,9 +132,9 @@ class TestSuccessProbabilities:
     def test_isolated_pair_no_interferer(self):
         for scheme in ("duda", "duca"):
             dep = isolated_pair_deployment(scheme)
-            assert success_probabilities(dep, QUIET) == (1.0, 1.0, 1.0)
-            assert success_probabilities(dep, QUIET, direction_redraw=True) == (1.0, 1.0, 1.0)
-            p_ul, p_dl, _ = success_probabilities(dep, TABLE)
+            assert probe_probs(dep, QUIET) == (1.0, 1.0, 1.0)
+            assert probe_probs(dep, QUIET, direction_redraw=True) == (1.0, 1.0, 1.0)
+            p_ul, p_dl, _ = probe_probs(dep, TABLE)
             r_dl = 12.0 if scheme == "duda" else 5.0
             want_ul = math.exp(-TABLE.beta_u * TABLE.noise_power / gain(TABLE.p_m, [0, 0], [5, 0]))
             want_dl = math.exp(-TABLE.beta_d * TABLE.noise_power / gain(TABLE.p_b, [0, 0], [r_dl, 0]))
@@ -135,16 +145,16 @@ class TestSuccessProbabilities:
         # an interfering terminal with the probe terminal's power and
         # distance: SIR 1, so P(pass) = 1/(1 + beta_u)
         dep = with_interferer(isolated_pair_deployment(), [0.0, 300.0], [10.0, 0.0], False)
-        p_ul, _, _ = success_probabilities(dep, replace(QUIET, beta_u=2.0))
+        p_ul, _, _ = probe_probs(dep, replace(QUIET, beta_u=2.0))
         assert p_ul == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_hand_example(self):
         # 0.1 W at sqrt(50) m against a 10 W station at 30 m: SIR 3.24
         dep = with_interferer(
-            replace(isolated_pair_deployment(), ues=np.array([[10.0, 5.0]])),
+            replace(isolated_pair_deployment(), probe_ues=np.array([[10.0, 5.0]])),
             [35.0, 0.0], [400.0, 0.0], True,
         )
-        p_ul, _, _ = success_probabilities(dep, replace(QUIET, beta_u=1.62))
+        p_ul, _, _ = probe_probs(dep, replace(QUIET, beta_u=1.62))
         assert p_ul == pytest.approx(1.0 / 1.5, rel=1e-12)
 
     def test_one_interferer(self):
@@ -167,11 +177,11 @@ class TestSuccessProbabilities:
         noise = noise_ul * noise_dl
         for active_dl, (f_ul, f_dl) in ((True, (f_ul_b, f_dl_b)), (False, (f_ul_u, f_dl_u))):
             dep = with_interferer(base, bs, ue, active_dl)
-            p_ul, p_dl, p_retry = success_probabilities(dep, params)
+            p_ul, p_dl, p_retry = probe_probs(dep, params)
             assert p_ul == pytest.approx(noise_ul * f_ul, rel=1e-12)
             assert p_dl == pytest.approx(noise_dl * f_dl, rel=1e-12)
             assert p_retry == p_ul * p_dl
-            _, _, shared = success_probabilities(dep, params, direction_redraw=True)
+            _, _, shared = probe_probs(dep, params, direction_redraw=True)
             want = noise * (delta * f_ul_b * f_dl_b + (1 - delta) * f_ul_u * f_dl_u)
             assert shared == pytest.approx(want, rel=1e-12)
 
@@ -186,8 +196,8 @@ class TestSuccessProbabilities:
             isolated_pair_deployment(), bs_positions=np.array([[1.0, 0.0], [-1.0, 0.0]])
         )
         dep = with_interferer(base, [0.0, 0.1], [1.0, 0.01], True)
-        p_ul_b, p_dl_b, shared = success_probabilities(dep, params, direction_redraw=True)
-        p_ul_u, p_dl_u, _ = success_probabilities(
+        p_ul_b, p_dl_b, shared = probe_probs(dep, params, direction_redraw=True)
+        p_ul_u, p_dl_u, _ = probe_probs(
             with_interferer(base, [0.0, 0.1], [1.0, 0.01], False), params
         )
         marginals = (delta * p_ul_b + (1 - delta) * p_ul_u) * (delta * p_dl_b + (1 - delta) * p_dl_u)
@@ -202,8 +212,8 @@ class TestSuccessProbabilities:
             dep, _ = deploy(
                 TABLE.lambda_b, TABLE.delta, 75.0, RngStream(91, it), scheme=scheme
             )
-            p_ul, p_dl, p_retry = success_probabilities(dep, TABLE)
-            _, _, shared = success_probabilities(dep, TABLE, direction_redraw=True)
+            p_ul, p_dl, p_retry = probe_probs(dep, TABLE)
+            _, _, shared = probe_probs(dep, TABLE, direction_redraw=True)
             freq = brute_force(dep, TABLE, rng, draws)
             freq_redraw = brute_force(dep, TABLE, rng, draws, redraw=True)
             for name, got, want in (
@@ -213,6 +223,80 @@ class TestSuccessProbabilities:
                 # a one-count floor: the normal bound misleads at p near 0
                 se = math.sqrt(max(want * (1 - want), 1.0 / draws) / draws)
                 assert abs(got - want) <= 4 * se, f"{scheme} #{it} {name}: {got} vs {want}"
+
+
+class TestMaskedProbes:
+    """The guarded deployments of the campaigns: probe k hears every other
+    unit's transmitter inside its mask, and nothing of its own unit."""
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_mask_equals_moving_unheard_transmitters_away(self, scheme, mode):
+        # an unmasked one-probe deployment whose unheard transmitters sit
+        # 1e12 m away, where they deliver nothing a double can hold
+        params = replace(TABLE, delta=0.4)
+        for it in range(3):
+            dep, _ = deploy(TABLE.lambda_b, 0.4, 75.0, RngStream(95, it), scheme, mode,
+                            guarded=True)
+            got = success_probabilities(dep, params, direction_redraw=True)
+            for k in range(0, len(dep.probe_bs), 5):
+                g = dep.probe_units[k]
+                far = np.array([1e12, 1e12])
+                bs, ues = dep.bs_positions.copy(), dep.ues.copy()
+                for h, (_, dl) in enumerate(dep.units.tolist()):
+                    if h == g:
+                        continue
+                    if np.abs(bs[dl] - dep.anchors[k]).max() > 75.0:
+                        bs[dl] = far
+                    if np.abs(ues[h] - dep.anchors[k]).max() > 75.0:
+                        ues[h] = far
+                units = dep.units.copy()
+                units[g] = [dep.probe_bs[k], units[g].sum() - dep.probe_bs[k]]
+                want = probe_probs(one_probe(bs, units, dep.active_dl, ues,
+                                             dep.probe_ues[k], g), params, True)
+                assert got[:, k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+                assert got[:2, k] == pytest.approx(reference_probe_probs(dep, params, k),
+                                                   rel=1e-10, abs=1e-300)
+
+
+class TestPalmEstimand:
+    """Many probes per guarded realization estimate what one probe at the
+    origin does: mean p_ul and p_dl of the campaigns' realization stage
+    against draws of one probe at the origin of the unguarded window, for
+    both schemes, directions and typical modes at lambda_b 0.005.  The
+    one-probe side is evaluated by ``helpers.reference_probe_probs``, so a
+    fault of the kernel shows as well as one of the guarded draws.
+
+    Eight z-scores, each with the cluster-robust SE over realizations of the
+    many-probe mean and the i.i.d. SE of the one-probe mean.  At |z| <= 4
+    each, the false-alarm rate is at most 8 x 6.3e-5 = 5.1e-4 per run under
+    normality.  Two planted mutants fail it: the probe's own unit left
+    interfering, and probes uniform in the whole window with no guard."""
+
+    N_MULTI, N_SINGLE = 16000, 8000
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    def test_multi_probe_matches_origin_probe(self, mode):
+        params, schemes = SystemParams(), ("duda", "duca")
+        multi = realize(TrialConfig(params=params, iterations=self.N_MULTI, seed=2101,
+                                    typical_mode=mode), schemes)
+        single = {s: np.empty((3, self.N_SINGLE)) for s in schemes}
+        for it in range(self.N_SINGLE):
+            got = generate_deployment(params.lambda_b, params.delta, 75.0,
+                                      RngStream(2102, it), schemes, mode, all_terminals=False)
+            for s, (dep, _) in got.items():
+                single[s][:2, it] = reference_probe_probs(dep, params)
+        z = {}
+        for s in schemes:
+            r = multi[s]
+            for d, name in enumerate(("p_ul", "p_dl")):
+                one = single[s][d]
+                se = math.hypot(cluster_se(r.probs[d], r.clusters),
+                                one.std() / math.sqrt(len(one)))
+                z[s, name] = (r.probs[d].mean() - one.mean()) / se
+        print(mode, {k: round(v, 2) for k, v in z.items()})
+        assert max(map(abs, z.values())) <= 4.0, z
 
 
 class TestKernel:
@@ -259,7 +343,7 @@ class TestTrial:
         # zero-ish thresholds: success on attempt 1, latency s_u + s_d
         params = replace(TABLE, beta_u=1e-15, beta_d=1e-15)
         dep, _ = deploy(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(1, 0))
-        assert min(success_probabilities(dep, params)) > 1.0 - 1e-9
+        assert success_probabilities(dep, params).min() > 1.0 - 1e-9
         st = run_campaign(TrialConfig(params=params, timing=SlotTiming(), iterations=20))
         assert np.all(st.attempts == 1)
         assert not st.censored.any()
@@ -333,7 +417,11 @@ class TestCampaign:
 
     @pytest.mark.slow
     def test_geometric_attempt_distribution(self):
-        cfg = TrialConfig(iterations=5000, seed=13, scheme="duda")
+        # given the realizations, trials are independent and both sides
+        # estimate (1 - p_retry)^k, so the binomial errors hold.  Five
+        # Bonferroni bounds at 3.72 SE: at most 1e-3 false alarms per run
+        # under normality.  Retries at 0.8 p_retry fail it.
+        cfg = TrialConfig(iterations=10000, seed=13, scheme="duda")
         st = run_campaign(cfg)
         n = cfg.iterations
         p_hat = st.empirical_rho_u * st.empirical_rho_d
@@ -348,13 +436,16 @@ class TestCampaign:
             se_want = dp * math.sqrt(
                 (st.empirical_rho_d * se_u) ** 2 + (st.empirical_rho_u * se_d) ** 2
             )
-            assert abs(surv - want) < 3 * math.sqrt(se_surv**2 + se_want**2)
+            assert abs(surv - want) < 3.72 * math.sqrt(se_surv**2 + se_want**2)
 
     @pytest.mark.slow
     def test_self_consistency_both_schemes(self):
+        # two Bonferroni bounds at 3.29 SE: at most 1e-3 false alarms per run
+        # under normality, and less, as the two errors added in quadrature
+        # are positively correlated.  Retries at 0.8 p_retry fail it.
         timing = SlotTiming()
         for scheme in ("duda", "duca"):
-            cfg = TrialConfig(timing=timing, iterations=4000, seed=21, scheme=scheme)
+            cfg = TrialConfig(timing=timing, iterations=8000, seed=21, scheme=scheme)
             st = run_campaign(cfg)
             link = LinkSuccess(st.empirical_rho_u, st.empirical_rho_d)
             form = (
@@ -367,19 +458,27 @@ class TestCampaign:
             se_form = cycle / (ru * rd) * math.sqrt(
                 (1 - ru) / (ru * n) + (1 - rd) / (rd * n)
             )
-            tol = 3 * math.hypot(se_mean, se_form)
+            tol = 3.29 * math.hypot(se_mean, se_form)
             assert abs(st.mean - form) < tol, f"{scheme}: {st.mean} vs {form} (tol {tol})"
 
     def test_fixed_attempt_model_is_heavy_tailed(self):
         cfg = TrialConfig(
             iterations=400, seed=31, scheme="duda", attempt_model="fixed", max_attempts=50
         )
-        st = run_campaign(cfg)
+        realized = realize(cfg, ("duda",))["duda"]
+        st = run_campaign(cfg, realized)
         # a frozen geometry leaves some trials with near-zero conditional
         # success probability; the cap bites visibly
         assert st.censored_count > 10
-        ind = run_campaign(replace(cfg, attempt_model="independent"))
-        assert ind.censored_count == 0
+        # the independent model censors a trial with probability about
+        # (1 - p)^50, p the ensemble's retry probability: 0.2 of 400 trials
+        # expected at the defaults, so "none" would fail about 18% of correct
+        # runs.  A Poisson bound, 1e-4 false alarms per run; independent
+        # retries at each trial's own p_retry censor about 200.
+        p_retry = realized.probs[0].mean() * realized.probs[1].mean()
+        bound = sps.poisson.isf(1e-4, cfg.iterations * (1 - p_retry) ** cfg.max_attempts)
+        ind = run_campaign(replace(cfg, attempt_model="independent"), realized)
+        assert ind.censored_count <= bound
         assert st.attempts.mean() > ind.attempts.mean()
 
     def test_direction_redraw_toggle_runs(self):
@@ -415,38 +514,38 @@ class TestTransmittingTerminals:
     @pytest.mark.parametrize("mode", ["dl", "ul"])
     @pytest.mark.parametrize("scheme", ["duda", "duca"])
     def test_lean_deployment_matches_full(self, scheme, mode):
+        # one-probe draws, and the guarded many-probe draws of the campaigns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lam, count in ((0.005, 300), (0.04, 40)):
+            for lam, count, guarded in ((0.005, 300, False), (0.04, 40, False),
+                                        (0.005, 30, True), (0.04, 3, True)):
                 params = replace(TABLE, lambda_b=lam)
                 for it in range(count):
                     stream = RngStream(48, it)
                     full, rs_full = deploy(
-                        lam, TABLE.delta, 75.0, stream, scheme, mode
+                        lam, TABLE.delta, 75.0, stream, scheme, mode, guarded=guarded
                     )
                     lean, rs_lean = deploy(
-                        lam, TABLE.delta, 75.0, stream, scheme, mode, all_terminals=False
+                        lam, TABLE.delta, 75.0, stream, scheme, mode, all_terminals=False,
+                        guarded=guarded,
                     )
                     assert rs_lean == rs_full
-                    # blank rows: exactly the DL-active unmatched stations'
-                    # terminals, the probe's own cell excepted
+                    # blank rows: exactly the DL-active unmatched stations' terminals
                     blank = np.isnan(lean.ues).any(axis=1)
                     single = full.units[:, 0] == full.units[:, 1]
-                    assert not blank[~single].any()
-                    probe = np.arange(len(full.units)) == full.probe
-                    assert np.array_equal(blank, full.active_dl & single & ~probe)
+                    assert np.array_equal(blank, full.active_dl & single)
                     assert not np.isnan(full.ues).any()
                     assert np.array_equal(lean.ues[~blank], full.ues[~blank])
-                    for name in ("bs_positions", "units", "active_dl"):
+                    for name in ("bs_positions", "units", "active_dl", "probe_bs",
+                                 "probe_units", "probe_ues", "anchors"):
                         assert np.array_equal(getattr(lean, name), getattr(full, name)), name
-                    for name in ("probe", "degenerate"):
+                    for name in ("mask_half_width", "degenerate"):
                         assert getattr(lean, name) == getattr(full, name), name
                     # bit for bit, as each campaign builds its deployments
-                    assert success_probabilities(lean, params) == success_probabilities(
-                        full, params
-                    )
+                    lean_p = success_probabilities(lean, params)
+                    assert np.array_equal(lean_p, success_probabilities(full, params))
                     redraw = success_probabilities(full, params, direction_redraw=True)
-                    assert redraw[:2] == success_probabilities(lean, params)[:2]
+                    assert np.array_equal(redraw[:2], lean_p[:2])
 
     def test_campaign_places_the_terminals_it_reads(self, monkeypatch):
         # a direction_redraw retry lets every unit transmit from its terminal
@@ -462,12 +561,13 @@ class TestTransmittingTerminals:
             for redraw in (True, False):
                 seen.clear()
                 run_campaign(TrialConfig(
-                    iterations=20, seed=49, scheme=scheme,
+                    iterations=60, seed=49, scheme=scheme,
                     attempt_model="fixed", direction_redraw=redraw,
                 ))
+                # at most 28 probes per realization at the default density
                 blank = [bool(np.isnan(dep.ues).any()) for dep in seen]
-                assert len(blank) == 20
-                assert any(blank) != redraw
+                assert len(blank) >= 3
+                assert all(blank) != redraw and any(blank) != redraw
 
 
 class TestSyntheticCampaign:

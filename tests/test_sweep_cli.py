@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,9 +100,13 @@ class TestSimulateSweeps:
         assert means == sorted(means, reverse=True)
 
     def test_small_geometry_simulate(self):
+        # the duca-minus-duda gap of 150-trial rows spreads with SD 3.9 about
+        # 10.2 (300 seeds); 600 trials double its z to about 5.2, below 1e-6
+        # false alarms per run of two points under normality.  Rows of the
+        # schemes swapped fail it.
         rows, _ = sweep_rows(
             "sweep_variable = s_u\nsweep_start = 0.3\nsweep_stop = 0.7\nsweep_steps = 2\n"
-            "mode = simulate\niterations = 150\n"
+            "mode = simulate\niterations = 600\n"
         )
         assert len(rows) == 4
         for r in rows:
@@ -366,18 +371,23 @@ class TestCli:
         assert out.stderr.startswith("configuration error: no usable realization")
 
     def test_validate_zero_empirical_rho_fails_without_traceback(self, tmp_path: Path):
-        # at beta_u = 40 dB, 200 trials see 0 first-attempt UL successes for
-        # duca (its closed form diverges) and 2 for duda: too few for the
-        # normal approximation of the 3 SE test, so both checks fail
+        # at beta_u = 40 dB, 200 trials see a handful of first-attempt UL
+        # successes at most (analytic rho_u 0.0032 for duda, less for duca),
+        # often none, when the closed form diverges: too few for the normal
+        # approximation of the 3 SE test, so both checks fail.  Ten or more
+        # in 200 at rho_u 0.0032 has probability about 3e-9 for independent
+        # trials, and below 1e-6 with the clustering of probes.
         cfg = tmp_path / "a.cfg"
         cfg.write_text("beta_u_db = 40\n")
         out = self.run_cli("validate", "--iterations", "200", "--config", str(cfg))
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
-        for scheme, hits in (("duca", 0), ("duda", 2)):
+        for scheme in ("duca", "duda"):
             line = next(x for x in out.stdout.splitlines() if f"self_consistency_{scheme}" in x)
             assert line.startswith("FAIL ")
-            assert f"measured={hits} threshold=10 (first-attempt successes UL={hits} DL=" in line
+            hits = re.search(r"measured=(\d+) threshold=10 \(first-attempt successes UL=(\d+) DL=",
+                             line)
+            assert hits and hits[1] == hits[2] and int(hits[1]) < 10, line
             assert line.endswith("the normal approximation behind the 3 SE test needs at least 10)")
 
     def test_noise_off_simulate_ignores_noise_dbm(self, tmp_path: Path):
@@ -395,15 +405,17 @@ class TestCli:
         assert simulate("noise_dbm = -20\nnoise = on\n") != default
 
     def test_campaign_resample_cap_exits_2(self, tmp_path: Path, capsys):
-        # 0.5 stations expected in a 10 m window: most draws hold fewer than
-        # 2, and the campaign runs out of its cap of 10x iterations resamples
+        # 0.045 stations expected in a 3 m window, 0.10 in the 4.5 m window
+        # that the guard widens it to: 0.47% of draws hold 2 or more, and the
+        # campaign runs out of its cap of 10x iterations resamples.  Five
+        # usable draws among the first 55 would pass it: about 1e-5.
         cfg = tmp_path / "a.cfg"
-        cfg.write_text("window_side = 10\niterations = 50\n")
+        cfg.write_text("window_side = 3\niterations = 5\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: no usable realization in ")
-        assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.5" in err
-        assert "cap of 500 resamples (10x iterations) ran out" in err
+        assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.045" in err
+        assert "cap of 50 resamples (10x iterations) ran out" in err
 
     @pytest.mark.parametrize("command", ["analytic", "validate"])
     @pytest.mark.parametrize("setting", [
