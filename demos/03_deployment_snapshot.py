@@ -8,13 +8,13 @@ plottable CSV snapshot (x, y, role, pair_id).
 
 import numpy as np
 
-from dudasim import RngStream, delaunay_adjacency, generate_deployment, snapshot_csv
+from dudasim import RngStream, delaunay_adjacency, origin_deployment, snapshot_csv
 
 stream = RngStream(seed=2024, stream_id=0)
-dep, resamples = generate_deployment(
+dep, resamples = origin_deployment(
     lambda_b=0.005, delta=0.5, window_half_width=75.0, stream=stream,
-    schemes=("duda",), typical_mode="dl",
-)["duda"]
+    scheme="duda", typical_mode="dl",
+)
 
 n = len(dep.bs_positions)
 paired = dep.units[:, 0] != dep.units[:, 1]  # an unmatched station's row is (i, i)

@@ -40,6 +40,7 @@ from .deployment import (
     RngStream,
     delaunay_adjacency,
     generate_deployment,
+    origin_deployment,
     sample_ppp,
     snapshot_csv,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "QuadratureConvergenceError", "interference_tail_integral",
     "dl_success_probability", "ul_success_probability",
     "Deployment", "RngStream", "delaunay_adjacency", "generate_deployment",
-    "sample_ppp", "snapshot_csv",
+    "origin_deployment", "sample_ppp", "snapshot_csv",
     "LatencyStats", "Realization", "realize", "run_campaign", "run_synthetic_campaign",
     "samples_csv",
     "ConfigBundle", "ConfigError", "SweepSpec", "parse_config",

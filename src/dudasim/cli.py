@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .config import ConfigBundle, ConfigError, parse_config
-from .deployment import NoRealizationError, RngStream, generate_deployment, snapshot_csv
+from .deployment import NoRealizationError, RngStream, origin_deployment, snapshot_csv
 from .montecarlo import realize, samples_csv
 from .quadrature import QuadratureConvergenceError
 from .sweep import (
@@ -148,18 +148,11 @@ def _cmd_validate(args, bundle: ConfigBundle) -> int:
 
 
 def _cmd_snapshot(args, bundle: ConfigBundle) -> int:
-    scheme = bundle.sweep.schemes[0]
-    got = generate_deployment(
-        bundle.params.lambda_b,
-        bundle.params.delta,
-        bundle.trial.window_half_width,
-        RngStream(bundle.trial.seed, 0),
-        (scheme,),
-        bundle.trial.typical_mode,
-    )[scheme]
-    if isinstance(got, NoRealizationError):
-        raise got
-    _emit(snapshot_csv(got[0]), args.out)
+    params, trial = bundle.params, bundle.trial
+    dep, _ = origin_deployment(params.lambda_b, params.delta, trial.window_half_width,
+                               RngStream(trial.seed, 0), bundle.sweep.schemes[0],
+                               trial.typical_mode)
+    _emit(snapshot_csv(dep), args.out)
     return EXIT_OK
 
 

@@ -17,16 +17,18 @@ and is dropped.  For each probe its own unit is silent, and every other
 unit interferes only with a transmitter inside the square of half-width
 ``window_half_width`` centred at the probe's anchor.
 
-``generate_deployment`` draws one of two kinds of realization:
+``generate_deployment`` makes one draw of one of two kinds:
 
-* One probe at the origin (``snapshot``, the demos), stations in the window
-  of half-width ``window_half_width``.  In "dl" typical mode the probe
+* One probe at the origin (``origin_deployment``, for ``snapshot`` and the
+  demos, redraws until the probe is usable), stations in the window of
+  half-width ``window_half_width``.  In "dl" typical mode the probe
   terminal sits at the origin and its nearest station serves it, so the
   serving distance follows the nearest-neighbour law organically.  In "ul"
   mode a station is pinned at the origin, with the probe terminal at a
   distance drawn from that law, the distribution the analytical model
   assumes.  The mask then covers the whole window.
-* Many probes in a guarded window (``guarded``, the campaigns): stations in
+* Many probes in a guarded window (``guarded``, the campaigns, which take
+  one draw per realization and skip one with no usable probe): stations in
   half-width ``window_half_width`` + h, h = ``window_half_width`` / 2, and
   probes in the central square of half-width h.  In "dl" mode
   round(lambda_b (2h)^2) terminals, at least one, are uniform in it, each
@@ -42,17 +44,18 @@ The coupled baseline ("duca") reuses the machinery with pairing disabled:
 every BS is its own unit, with an independent direction and a terminal in
 its own cell, and the probe terminal talks to its serving BS both ways.
 
-One call serves several schemes from shared draws: the stations, the
-probes, each station's direction uniform and the terminal candidates of a
-draw are the same for every scheme that takes it, and one kd-tree lookup
-per candidate batch places the terminals of all of them.
+One draw serves several schemes: the stations, the probes, each station's
+direction uniform and the terminal candidates are the same for every
+scheme, and one kd-tree lookup per candidate batch places the terminals of
+all of them.  Each scheme gets its deployment, or none when the draw leaves
+it no usable probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,9 +89,23 @@ def seed_words(*ints: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+# Draws in a row that may give a scheme no usable probe before it stops
+MAX_DRAWS = 65
+
+
 class NoRealizationError(RuntimeError):
-    """Every draw of ``generate_deployment`` was unusable: the window holds
-    too few stations at this density."""
+    """``MAX_DRAWS`` draws in a row gave a scheme no usable probe, for the
+    reasons ``generate_deployment`` returned: the window holds too few
+    stations at this density."""
+
+    def __init__(self, misses: Sequence[str], lambda_b: float, window_half_width: float):
+        n, sparse, empty = len(misses), misses.count("sparse"), misses.count("empty")
+        none = f", {empty} had no station in the probe square" if empty else ""
+        super().__init__(
+            f"no usable realization in {n} draws: {sparse} had fewer than 2 base stations "
+            f"(expected lambda_b*side^2 = {lambda_b * (2.0 * window_half_width) ** 2:.3g} "
+            f"per window){none} and {n - sparse - empty} left the typical BS unmatched"
+        )
 
 
 @dataclass
@@ -392,29 +409,24 @@ def generate_deployment(
     stream: RngStream,
     schemes: Sequence[str] = ("duda",),
     typical_mode: str = "dl",
-    max_resamples: Union[int, Mapping[str, int]] = 64,
     all_terminals: bool = True,
     guarded: bool = False,
-) -> Dict[str, Union[Tuple[Deployment, int], NoRealizationError]]:
-    """One realization with usable probes per scheme, from draws the schemes
-    share: one probe at the origin, or with ``guarded`` many probes in the
-    guarded window (see the module docstring).
+    attempt: int = 0,
+) -> Dict[str, Union[Deployment, str]]:
+    """Draw ``attempt`` of ``stream``, one probe at the origin or with
+    ``guarded`` many probes in the guarded window (see the module
+    docstring): for each scheme its deployment, or why the draw gave it no
+    usable probe, "sparse" (fewer than 2 stations), "empty" (no probe) or
+    "unmatched" (the decoupled scheme matched no probe's serving station).
 
-    Returns, for each scheme, (deployment, resamples), or the
-    NoRealizationError of a scheme with no usable draw in its
-    ``max_resamples`` + 1 (one count for all schemes, or one per scheme).
-
-    Draw ``attempt`` reads ``stream.generator(attempt)`` for the stations,
-    the probes and then, for the decoupled scheme, the matching's visiting
-    order; ``stream.generator(attempt, 1)`` gives the directions and
-    terminals (``assign_directions_and_ues``).  A draw with fewer than 2
-    stations, or no probe, is redrawn for every scheme.  The coupled scheme
-    takes any other draw with all its probes; the decoupled scheme keeps the
-    probes whose serving station it matched, and redraws alone while there
-    are none.  Each scheme thus gets the deployment it would get alone, and
-    the schemes that take the same draw share its stations, probes,
-    directions and terminal candidates.  ``all_terminals`` is passed to
-    ``assign_directions_and_ues``.
+    ``stream.generator(attempt)`` gives the stations, the probes and then,
+    for the decoupled scheme, the matching's visiting order;
+    ``stream.generator(attempt, 1)`` gives the directions and terminals
+    (``assign_directions_and_ues``, which takes ``all_terminals``).  The
+    coupled scheme takes every probe, the decoupled scheme those whose
+    serving station it matched.  Each scheme thus gets the deployment it
+    would get alone, and the schemes share the draw's stations, probes,
+    directions and terminal candidates.
     """
     for scheme in schemes:
         if scheme not in ("duda", "duca"):
@@ -423,56 +435,56 @@ def generate_deployment(
         raise ValueError("typical_mode must be 'ul' or 'dl'")
     guard = _GUARD * window_half_width if guarded else 0.0
     count = max(1, round(_PROBES_PER_STATION * lambda_b * (2.0 * guard) ** 2))
-    caps = (dict(max_resamples) if isinstance(max_resamples, Mapping)
-            else dict.fromkeys(schemes, max_resamples))
-    done: Dict[str, Union[Tuple[Deployment, int], NoRealizationError]] = {}
-    sparse = empty = 0
-    for attempt in range(max(caps.values()) + 1):
-        wanted = [s for s in schemes if s not in done]
-        gen = stream.generator(attempt)
-        pts = sample_ppp(lambda_b, window_half_width + guard, gen)
-        if typical_mode == "ul" and not guarded:
-            pts = np.vstack([np.zeros((1, 2)), pts])
-        taken = {}  # scheme -> (pairs, unpaired, degenerate, usable probes) of its draws
-        if len(pts) < 2:
-            sparse += 1
-        else:
-            probe_bs, probe_ues, anchors = _draw_probes(
-                pts, lambda_b, guard, count, typical_mode, gen)
-            empty += not len(probe_bs)
-            for scheme in wanted if len(probe_bs) else ():
-                if scheme == "duca":
-                    taken[scheme] = (np.empty((0, 2), dtype=int), np.arange(len(pts)), False,
-                                     np.ones(len(probe_bs), dtype=bool))
-                    continue
-                indptr, indices, degen = delaunay_adjacency(pts)
-                pairs, unpaired = pair_bs(pts, indptr, indices, gen)
-                usable = ~np.isin(probe_bs, unpaired)
-                if usable.any():
-                    taken[scheme] = pairs, unpaired, degen, usable
-        if taken:
-            layouts = assign_directions_and_ues(
-                [t[:2] for t in taken.values()], pts, delta, stream.generator(attempt, 1),
-                window_half_width=window_half_width + guard, all_terminals=all_terminals,
+    gen = stream.generator(attempt)
+    pts = sample_ppp(lambda_b, window_half_width + guard, gen)
+    if typical_mode == "ul" and not guarded:
+        pts = np.vstack([np.zeros((1, 2)), pts])
+    if len(pts) < 2:
+        return dict.fromkeys(schemes, "sparse")
+    probe_bs, probe_ues, anchors = _draw_probes(pts, lambda_b, guard, count, typical_mode, gen)
+    if not len(probe_bs):
+        return dict.fromkeys(schemes, "empty")
+    taken = {}  # scheme -> (pairs, unpaired, degenerate, usable probes)
+    for scheme in schemes:
+        if scheme == "duca":
+            taken[scheme] = (np.empty((0, 2), dtype=int), np.arange(len(pts)), False,
+                             np.ones(len(probe_bs), dtype=bool))
+            continue
+        indptr, indices, degen = delaunay_adjacency(pts)
+        pairs, unpaired = pair_bs(pts, indptr, indices, gen)
+        usable = ~np.isin(probe_bs, unpaired)
+        if usable.any():
+            taken[scheme] = pairs, unpaired, degen, usable
+    out: Dict[str, Union[Deployment, str]] = dict.fromkeys(schemes, "unmatched")
+    if taken:
+        layouts = assign_directions_and_ues(
+            [t[:2] for t in taken.values()], pts, delta, stream.generator(attempt, 1),
+            window_half_width=window_half_width + guard, all_terminals=all_terminals,
+        )
+        for (scheme, (_, _, degen, use)), (units, active_dl, ues, unit_of_bs) in zip(
+                taken.items(), layouts):
+            out[scheme] = Deployment(
+                pts, units, active_dl, ues, probe_bs[use], unit_of_bs[probe_bs[use]],
+                probe_ues[use], anchors[use], window_half_width, degen,
             )
-            for (scheme, (_, _, degen, use)), (units, active_dl, ues, unit_of_bs) in zip(
-                    taken.items(), layouts):
-                done[scheme] = Deployment(
-                    pts, units, active_dl, ues, probe_bs[use], unit_of_bs[probe_bs[use]],
-                    probe_ues[use], anchors[use], window_half_width, degen,
-                ), attempt
-        for scheme in wanted:
-            if scheme not in done and attempt == caps[scheme]:
-                expected = lambda_b * (2.0 * window_half_width) ** 2
-                none = f", {empty} had no station in the probe square" if empty else ""
-                done[scheme] = NoRealizationError(
-                    f"no usable realization in {attempt + 1} draws: {sparse} had fewer than "
-                    f"2 base stations (expected lambda_b*side^2 = {expected:.3g} per window)"
-                    f"{none} and {attempt + 1 - sparse - empty} left the typical BS unmatched"
-                )
-        if len(done) == len(schemes):
-            break
-    return {scheme: done[scheme] for scheme in schemes}
+    return out
+
+
+def origin_deployment(
+    lambda_b: float, delta: float, window_half_width: float, stream: RngStream,
+    scheme: str = "duda", typical_mode: str = "dl", all_terminals: bool = True,
+) -> Tuple[Deployment, int]:
+    """One probe at the origin for one scheme: the first of draws 0, 1, ...
+    of ``stream`` (``generate_deployment``'s ``attempt``) that gives the
+    scheme a usable probe, and its number, the redraws it took."""
+    misses = []
+    for attempt in range(MAX_DRAWS):
+        dep = generate_deployment(lambda_b, delta, window_half_width, stream, (scheme,),
+                                  typical_mode, all_terminals, attempt=attempt)[scheme]
+        if isinstance(dep, Deployment):
+            return dep, attempt
+        misses.append(dep)
+    raise NoRealizationError(misses, lambda_b, window_half_width)
 
 
 def snapshot_csv(dep: Deployment) -> str:

@@ -8,9 +8,11 @@ sample.  Per-direction first-attempt success frequencies estimate
 
 A trial is one probe of a guarded realization (``deployment``): each
 realization serves about one trial per station of its central square, so
-trials of one realization are correlated.  ``Realization.clusters`` keeps
-each trial's realization, and ``LatencyStats.rho_se`` the cluster-robust
-standard errors of the first-attempt frequencies over realizations.
+trials of one realization are correlated.  A realization that gives a
+scheme no usable probe adds no trials to it: it has weight 0 in the Palm
+estimator.  ``Realization.clusters`` keeps each trial's realization, and
+``LatencyStats.rho_se`` the cluster-robust standard errors of the
+first-attempt frequencies over realizations.
 ``LatencyStats.ci95_half_width`` stays the per-trial interval, which does
 not charge that correlation.
 
@@ -60,13 +62,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .deployment import (
-    Deployment, NoRealizationError, RngStream, generate_deployment, seed_words,
+    MAX_DRAWS, Deployment, NoRealizationError, RngStream, generate_deployment, seed_words,
 )
 from .latency import protocol_delay_sample
 from .params import SlotTiming, SystemParams, TrialConfig
@@ -81,7 +83,6 @@ class LatencyStats:
     censored: np.ndarray
     empirical_rho_u: float
     empirical_rho_d: float
-    resample_count: int
     scheme: str
     # cluster-robust standard errors of (empirical_rho_u, empirical_rho_d)
     # over the realizations that the trials' first attempts read
@@ -228,33 +229,29 @@ def cluster_se(x: np.ndarray, clusters: np.ndarray) -> float:
 class Realization:
     """One scheme's realizations for a campaign: trial ``it``'s probe
     reduced to column ``it`` of (p_ul, p_dl, p_retry) as it was generated,
-    the realization it came from, and the resamples they took, or the error
-    that stopped them."""
+    and the realization it came from, or the error that stopped them."""
 
     scheme: str
     key: tuple                            # _realization_key of the campaigns it serves
     probs: np.ndarray                     # (3, iterations)
     clusters: np.ndarray                  # (iterations,) realization index of each trial
-    resamples: int = 0
     error: Optional[NoRealizationError] = None
 
 
 def realize(config: TrialConfig, schemes: Sequence[str]) -> Dict[str, Realization]:
     """The realization stage of the campaigns of ``config`` for each scheme.
 
-    Realization r draws on ``RngStream(seed, r)`` one guarded deployment
-    with many probes for every scheme still running (``generate_deployment``
-    with ``guarded``, where the schemes share their draws), and reduces each
-    usable probe to its exact conditional success probabilities at once.  A
-    scheme's trials are its first ``iterations`` usable probes, in order.
-    Only the terminals that transmit are placed, unless ``direction_redraw``
-    lets every unit transmit from its terminal.  ``resamples`` counts the
-    draws that gave the scheme no usable probe (fewer than 2 stations, no
-    probe, or, for the decoupled scheme, every probe's station unmatched).
-    A scheme resamples at most 10x iterations times in all; one that runs
-    out, or finds no usable draw in 65 for one realization, stops with its
-    NoRealizationError while the others go on.  A scheme gets the same
-    realizations whichever other schemes run beside it.
+    Realization r is draw 0 of ``RngStream(seed, r)``, one guarded draw
+    with many probes shared by every scheme still running
+    (``generate_deployment``), and each probe kept is reduced to its exact
+    conditional success probabilities at once.  A scheme's trials are its
+    first ``iterations`` usable probes, in order; a realization that gives
+    it none adds no trials, which has the law of redrawing it, since the
+    draws are i.i.d.  A scheme that goes ``MAX_DRAWS`` realizations in a
+    row without a usable probe stops with its NoRealizationError while the
+    others go on.  Only the terminals that transmit are placed, unless
+    ``direction_redraw`` lets every unit transmit from its terminal.  A
+    scheme gets the same realizations whichever other schemes run beside it.
     """
     params, n = config.params, config.iterations
     redraw = config.attempt_model == "fixed" and config.direction_redraw
@@ -262,31 +259,29 @@ def realize(config: TrialConfig, schemes: Sequence[str]) -> Dict[str, Realizatio
     out = {s: Realization(s, key, np.empty((3, n)), np.empty(n, dtype=np.int64))
            for s in schemes}
     filled = dict.fromkeys(schemes, 0)
+    misses = {s: [] for s in schemes}  # reasons of the realizations since the last usable
     r = 0
-    while True:
-        caps = {s: min(64, 10 * n - o.resamples) for s, o in out.items()
-                if o.error is None and filled[s] < n}
-        if not caps:
-            break
+    while running := [s for s in schemes if out[s].error is None and filled[s] < n]:
         got = generate_deployment(
             params.lambda_b, params.delta, config.window_half_width,
-            RngStream(config.seed, r), tuple(caps), config.typical_mode, caps,
+            RngStream(config.seed, r), running, config.typical_mode,
             all_terminals=redraw, guarded=True,
         )
-        for scheme, result in got.items():
+        for scheme, dep in got.items():
             o, lo = out[scheme], filled[scheme]
-            if isinstance(result, NoRealizationError):
-                o.error = result if caps[scheme] == 64 else NoRealizationError(
-                    f"{result}; the campaign's cap of {10 * n} resamples (10x iterations) "
-                    f"ran out at iteration {lo}"
-                )
-            else:
-                dep, rs = result
-                o.resamples += rs
-                probs = success_probabilities(dep, params, redraw)[:, :n - lo]
-                filled[scheme] = hi = lo + probs.shape[1]
-                o.probs[:, lo:hi] = probs
-                o.clusters[lo:hi] = r
+            if not isinstance(dep, Deployment):
+                misses[scheme].append(dep)
+                if len(misses[scheme]) == MAX_DRAWS:
+                    o.error = NoRealizationError(
+                        misses[scheme], params.lambda_b, config.window_half_width)
+                continue
+            misses[scheme] = []
+            kept = slice(n - lo)  # only the probes the campaign reads
+            dep = replace(dep, probe_bs=dep.probe_bs[kept], probe_units=dep.probe_units[kept],
+                          probe_ues=dep.probe_ues[kept], anchors=dep.anchors[kept])
+            filled[scheme] = hi = lo + len(dep.probe_bs)
+            o.probs[:, lo:hi] = success_probabilities(dep, params, redraw)
+            o.clusters[lo:hi] = r
         r += 1
     return out
 
@@ -326,7 +321,6 @@ def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) ->
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),
         empirical_rho_d=float(dl_first.mean()),
-        resample_count=realized.resamples,
         scheme=config.scheme,
         rho_se=(cluster_se(ul_first, clusters), cluster_se(dl_first, dl_clusters)),
     )
@@ -449,7 +443,6 @@ def run_synthetic_campaign(
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),
         empirical_rho_d=float(dl_first.mean()),
-        resample_count=0,
         scheme=scheme,
         rho_se=(cluster_se(ul_first, np.arange(iterations)),
                 cluster_se(dl_first, np.arange(iterations))),

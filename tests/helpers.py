@@ -168,16 +168,23 @@ def reference_pair_bs(points: np.ndarray, adjacency, gen: np.random.Generator):
 
 def deploy(lambda_b, delta, window_half_width, stream, scheme="duda", typical_mode="dl",
            **kwargs):
-    """``generate_deployment`` for one scheme: (deployment, resamples), or
-    the scheme's NoRealizationError raised."""
-    from dudasim.deployment import NoRealizationError, generate_deployment
+    """One probe at the origin for one scheme: ``origin_deployment``'s
+    (deployment, redraws), or its NoRealizationError raised."""
+    from dudasim.deployment import origin_deployment
 
-    got = generate_deployment(
-        lambda_b, delta, window_half_width, stream, (scheme,), typical_mode, **kwargs
-    )[scheme]
-    if isinstance(got, NoRealizationError):
-        raise got
-    return got
+    return origin_deployment(
+        lambda_b, delta, window_half_width, stream, scheme, typical_mode, **kwargs
+    )
+
+
+def deploy_guarded(lambda_b, delta, window_half_width, stream, scheme="duda",
+                   typical_mode="dl", **kwargs):
+    """The guarded draw 0 of ``stream`` for one scheme: its deployment, or
+    why the draw gave it no usable probe."""
+    from dudasim.deployment import generate_deployment
+
+    return generate_deployment(lambda_b, delta, window_half_width, stream, (scheme,),
+                               typical_mode, guarded=True, **kwargs)[scheme]
 
 
 def reference_probe_probs(dep, params, k: int = 0) -> Tuple[float, float]:
@@ -270,7 +277,6 @@ def reference_synthetic_campaign(
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),
         empirical_rho_d=float(dl_first.mean()),
-        resample_count=0,
         scheme=scheme,
         rho_se=(cluster_se(ul_first, np.arange(iterations)),
                 cluster_se(dl_first, np.arange(iterations))),

@@ -7,6 +7,8 @@ from scipy import stats as sps
 
 from dudasim.coverage import nearest_distance_cdf
 from dudasim.deployment import (
+    Deployment,
+    NoRealizationError,
     RngStream,
     assign_directions_and_ues,
     delaunay_adjacency,
@@ -19,7 +21,8 @@ from dudasim.deployment import (
 )
 
 from helpers import (
-    brute_force_delaunay_edges, deploy, reference_pair_bs, reference_uniform_in_groups,
+    brute_force_delaunay_edges, deploy, deploy_guarded, reference_pair_bs,
+    reference_uniform_in_groups,
 )
 
 LAMBDA = 0.005
@@ -394,10 +397,8 @@ class TestGuardedDeployment:
         for seed in range(20):
             both = generate_deployment(LAMBDA, 0.5, HALF, RngStream(96, seed),
                                        ("duda", "duca"), mode, guarded=True)
-            (duda, rs_duda), (duca, rs_duca) = both["duda"], both["duca"]
-            assert rs_duca == 0
-            if rs_duda:  # duda redrew: its stations are another draw's
-                continue
+            duda, duca = both["duda"], both["duca"]
+            assert isinstance(duda, Deployment) and isinstance(duca, Deployment)
             pts = duca.bs_positions
             assert np.array_equal(duda.bs_positions, pts)
             assert np.abs(pts).max() <= HALF + self.GUARD
@@ -433,10 +434,10 @@ class TestGuardedDeployment:
             both = generate_deployment(LAMBDA, 0.5, HALF, stream, ("duda", "duca"), mode,
                                        guarded=True)
             for scheme in ("duda", "duca"):
-                alone, rs = deploy(LAMBDA, 0.5, HALF, stream, scheme, mode, guarded=True)
-                assert rs == both[scheme][1]
+                alone = deploy_guarded(LAMBDA, 0.5, HALF, stream, scheme, mode)
+                assert isinstance(alone, Deployment)
                 for name, value in vars(alone).items():
-                    assert np.array_equal(value, getattr(both[scheme][0], name)), name
+                    assert np.array_equal(value, getattr(both[scheme], name)), name
 
 
 class CountingGenerator:
@@ -626,6 +627,14 @@ class TestReproducibilityAndExport:
                r"\(expected lambda_b\*side\^2 = 0\.005 per window\)")
         with pytest.raises(RuntimeError, match=msg):
             deploy(LAMBDA, 0.5, 0.5, RngStream(93), scheme=scheme)
+
+    def test_no_realization_message_counts_each_reason(self):
+        # the reasons generate_deployment returns, in any order
+        err = NoRealizationError(["empty", "sparse", "unmatched", "empty"], 0.005, 10.0)
+        assert str(err) == (
+            "no usable realization in 4 draws: 1 had fewer than 2 base stations (expected "
+            "lambda_b*side^2 = 2 per window), 2 had no station in the probe square and 1 "
+            "left the typical BS unmatched")
 
     def test_snapshot_schema(self):
         dep, _ = deploy(LAMBDA, 0.5, HALF, RngStream(92))

@@ -22,7 +22,7 @@ from dudasim.montecarlo import (
 )
 from dudasim.params import THERMAL_NOISE_DBM, LinkSuccess, SlotTiming, SystemParams, dbm_to_watts
 
-from helpers import deploy, reference_probe_probs, reference_synthetic_campaign
+from helpers import deploy, deploy_guarded, reference_probe_probs, reference_synthetic_campaign
 
 # the standard table with thermal noise on, as `noise = on` sets it
 TABLE = SystemParams(noise_power=dbm_to_watts(THERMAL_NOISE_DBM))
@@ -236,8 +236,7 @@ class TestMaskedProbes:
         # 1e12 m away, where they deliver nothing a double can hold
         params = replace(TABLE, delta=0.4)
         for it in range(3):
-            dep, _ = deploy(TABLE.lambda_b, 0.4, 75.0, RngStream(95, it), scheme, mode,
-                            guarded=True)
+            dep = deploy_guarded(TABLE.lambda_b, 0.4, 75.0, RngStream(95, it), scheme, mode)
             got = success_probabilities(dep, params, direction_redraw=True)
             for k in range(0, len(dep.probe_bs), 5):
                 g = dep.probe_units[k]
@@ -283,9 +282,9 @@ class TestPalmEstimand:
                                     typical_mode=mode), schemes)
         single = {s: np.empty((3, self.N_SINGLE)) for s in schemes}
         for it in range(self.N_SINGLE):
-            got = generate_deployment(params.lambda_b, params.delta, 75.0,
-                                      RngStream(2102, it), schemes, mode, all_terminals=False)
-            for s, (dep, _) in got.items():
+            for s in schemes:
+                dep, _ = deploy(params.lambda_b, params.delta, 75.0, RngStream(2102, it), s,
+                                mode, all_terminals=False)
                 single[s][:2, it] = reference_probe_probs(dep, params)
         z = {}
         for s in schemes:
@@ -297,6 +296,43 @@ class TestPalmEstimand:
                 z[s, name] = (r.probs[d].mean() - one.mean()) / se
         print(mode, {k: round(v, 2) for k, v in z.items()})
         assert max(map(abs, z.values())) <= 4.0, z
+
+
+class TestSkipRule:
+    """A realization that gives a scheme no usable probe adds no trials to
+    it and leaves the other scheme's realizations as they are."""
+
+    def test_unmatched_realizations_add_no_trials(self, monkeypatch):
+        from dudasim import deployment
+
+        pair_bs = deployment.pair_bs
+
+        def odd_only(points, indptr, indices, gen):
+            # the matching's generator is stream (seed, r)'s draw 0
+            _, r, _ = gen.bit_generator.seed_seq.entropy.tolist()
+            pairs, unpaired = pair_bs(points, indptr, indices, gen)
+            if r % 2:
+                return pairs, unpaired
+            return np.empty((0, 2), dtype=int), np.arange(len(points))
+
+        cfg = TrialConfig(iterations=100, seed=53)
+        plain = realize(cfg, ("duda", "duca"))
+        more = realize(replace(cfg, iterations=300), ("duda",))["duda"]
+        monkeypatch.setattr(deployment, "pair_bs", odd_only)
+        patched = realize(cfg, ("duda", "duca"))
+        duda = patched["duda"]
+        assert duda.error is None
+        assert (duda.clusters % 2 == 1).all()
+        assert len(np.unique(duda.clusters)) >= 2
+        # the same probes, in order, as the odd realizations of a plain run
+        assert more.clusters.max() >= duda.clusters.max()
+        odd = more.clusters % 2 == 1
+        assert np.array_equal(more.clusters[odd][:100], duda.clusters)
+        assert np.array_equal(more.probs[:, odd][:, :100], duda.probs)
+        duca, alone = patched["duca"], plain["duca"]
+        assert duca.probs.tobytes() == alone.probs.tobytes()
+        assert duca.clusters.tobytes() == alone.clusters.tobytes()
+        assert (duca.key, duca.error) == (alone.key, None)
 
 
 class TestKernel:
@@ -522,14 +558,16 @@ class TestTransmittingTerminals:
                 params = replace(TABLE, lambda_b=lam)
                 for it in range(count):
                     stream = RngStream(48, it)
-                    full, rs_full = deploy(
-                        lam, TABLE.delta, 75.0, stream, scheme, mode, guarded=guarded
-                    )
-                    lean, rs_lean = deploy(
-                        lam, TABLE.delta, 75.0, stream, scheme, mode, all_terminals=False,
-                        guarded=guarded,
-                    )
-                    assert rs_lean == rs_full
+                    if guarded:
+                        full = deploy_guarded(lam, TABLE.delta, 75.0, stream, scheme, mode)
+                        lean = deploy_guarded(lam, TABLE.delta, 75.0, stream, scheme, mode,
+                                              all_terminals=False)
+                        assert isinstance(full, Deployment)
+                    else:
+                        full, rs_full = deploy(lam, TABLE.delta, 75.0, stream, scheme, mode)
+                        lean, rs_lean = deploy(lam, TABLE.delta, 75.0, stream, scheme, mode,
+                                               all_terminals=False)
+                        assert rs_lean == rs_full
                     # blank rows: exactly the DL-active unmatched stations' terminals
                     blank = np.isnan(lean.ues).any(axis=1)
                     single = full.units[:, 0] == full.units[:, 1]
@@ -553,7 +591,7 @@ class TestTransmittingTerminals:
 
         def record(*args, **kwargs):
             got = generate_deployment(*args, **kwargs)
-            seen.extend(dep for dep, _ in got.values())
+            seen.extend(dep for dep in got.values() if isinstance(dep, Deployment))
             return got
 
         monkeypatch.setattr(montecarlo, "generate_deployment", record)

@@ -406,16 +406,17 @@ class TestCli:
 
     def test_campaign_resample_cap_exits_2(self, tmp_path: Path, capsys):
         # 0.045 stations expected in a 3 m window, 0.10 in the 4.5 m window
-        # that the guard widens it to: 0.47% of draws hold 2 or more, and the
-        # campaign runs out of its cap of 10x iterations resamples.  Five
-        # usable draws among the first 55 would pass it: about 1e-5.
+        # that the guard widens it to: 0.47% of realizations hold 2 or more,
+        # each with one probe, so 65 in a row without one come before the
+        # next with probability 0.74.  Twenty usable realizations, each within
+        # 65 of the last, would pass it: about 0.26^20 = 3e-12.
         cfg = tmp_path / "a.cfg"
-        cfg.write_text("window_side = 3\niterations = 5\n")
+        cfg.write_text("window_side = 3\niterations = 20\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: no usable realization in ")
+        assert err.startswith("configuration error: no usable realization in 65 draws: ")
         assert "had fewer than 2 base stations (expected lambda_b*side^2 = 0.045" in err
-        assert "cap of 50 resamples (10x iterations) ran out" in err
+        assert "left the typical BS unmatched\n" in err
 
     @pytest.mark.parametrize("command", ["analytic", "validate"])
     @pytest.mark.parametrize("setting", [

@@ -16,11 +16,15 @@ directory with only that tree's ``src`` on the path:
 - the first of those (duda, independent, dl) at ``noise_dbm = -20`` with
   noise off, which must match it, and with noise on;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
+- ``simulate`` of both schemes in a sparse 24 m window, for each typical
+  mode, with ``--samples-out``: many realizations there give a scheme no
+  usable probe;
 - one small ``sweep --mode both`` per sweep variable, one ``simulate``
   sweep of both schemes in "ul" typical mode with ``direction_redraw``,
   and one sweep per variable that leaves its domain (exit 2 and its
   message);
-- a ``simulate`` sweep in a 1 m window, where every row fails into NaNs;
+- ``simulate`` in a 1 m window (exit 2 and its message), and a
+  ``simulate`` sweep there, where every row fails into NaNs;
 - ``validate --iterations 500``; ``validate`` in a 1 m window (exit 2 and
   its message); ``validate --iterations 200`` at ``beta_u_db = 40``, where
   duca has no first-attempt UL success and duda one;
@@ -81,6 +85,11 @@ def cases():
         out.append((f"simulate max_attempts = {big} (out of domain)",
                     CLI + ["simulate", "--samples-out", "samples.csv"],
                     f"max_attempts = {big}\n{rest}iterations = 20\n", ["samples.csv"]))
+    for mode in ("dl", "ul"):
+        out.append((f"simulate both window_side=24 {mode}",
+                    CLI + ["simulate", "--scheme", "both", "--iterations", "100",
+                           "--samples-out", "samples.csv"],
+                    f"window_side = 24\ntypical_mode = {mode}\n", ["samples.csv"]))
     for sweep in ("s_u:0.1:0.9:3", "rho_product:0.2:1:3", "delta:0.2:0.8:3",
                   "lambda_b:0.002:0.006:3", "beta_u_db:-5:5:3", "beta_d_db:-5:5:3"):
         out.append((f"sweep {sweep}",
@@ -93,6 +102,7 @@ def cases():
     for sweep in ("s_u:0.1:1.5:3", "rho_product:0:1:3", "delta:0.2:1:3",
                   "lambda_b:0:0.006:3", "beta_u_db:-4000:0:3", "beta_d_db:-4000:0:3"):
         out.append((f"sweep {sweep} (out of domain)", CLI + ["sweep", "--sweep", sweep], "", []))
+    out.append(("simulate window_side=1", CLI + ["simulate"], "window_side = 1\n", []))
     out.append(("sweep s_u:0.1:0.9:2 window_side=1 (every row fails)",
                 CLI + ["sweep", "--sweep", "s_u:0.1:0.9:2", "--mode", "simulate"],
                 "window_side = 1\n", []))
