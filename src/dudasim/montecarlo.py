@@ -25,8 +25,10 @@ deployment passes a direction with the exact probability
 
 where S is the received signal power, sigma^2 the noise power
 ``params.noise_power`` (0 with noise off, as in the analysis), and c_k the
-power each interfering unit delivers to the receiver from its active
-transmitter (its DL base station or its terminal).  This is the
+power delivered to the receiver by each unit the probe hears: another unit
+whose active transmitter (its DL base station or its terminal) lies in the
+probe's mask.  Only these terms are evaluated (with ``direction_redraw``,
+each of a unit's two transmitters in the mask).  This is the
 conditional success probability behind the SINR meta distribution
 (Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers,
 for all its probes at once, as soon as it is generated (``realize``, one
@@ -123,47 +125,60 @@ def success_probabilities(
     its own unit silent and the other units masked to its square.  p_retry
     is the probability that a "fixed"-model retry passes both: p_ul * p_dl,
     or with direction_redraw the product over units of the shared-direction
-    mixture (see the module docstring).  Each unit's power at each receiver
-    is computed once, for blocks of probes at a time.
+    mixture (see the module docstring), which needs every unit's terminal
+    (``all_terminals``).  For blocks of probes at a time, it evaluates only
+    the (probe, unit) entries heard (see the module docstring), scatters
+    their log pass factors into a block of zeros and sums along rows.
     """
     bs, units, alpha, half = dep.bs_positions, dep.units, params.alpha, dep.mask_half_width
-    # each unit's DL station and terminal, as (x, y) rows
-    tx = ((params.p_b, bs[units[:, 1]].T), (params.p_m, dep.ues.T))
-    active = dep.active_dl
+    active, n = dep.active_dl, len(units)
+    if direction_redraw and np.isnan(dep.ues).any():
+        raise ValueError("direction_redraw needs every unit's terminal (all_terminals)")
+    # each unit's transmitters as (power, (x, y) rows): its active one, or
+    # with direction_redraw its DL station and its terminal
+    tx = [(np.where(s, params.p_b, params.p_m), np.where(s[:, None], bs[units[:, 1]], dep.ues).T)
+          for s in ((np.ones(n, bool), np.zeros(n, bool)) if direction_redraw else (active,))]
     k = len(dep.probe_bs)
     out = np.empty((3, k))
-    step = max(1, _PROBE_BLOCK // len(units))
+    step = max(1, _PROBE_BLOCK // n)
     for lo in range(0, k, step):
         blk = slice(lo, lo + step)
         serving, own, ue = dep.probe_bs[blk], dep.probe_units[blk], dep.probe_ues[blk]
         rx_ul = bs[serving]
         tx_dl = bs[units[own].sum(axis=1) - serving]  # the own unit's other member
         ax, ay = dep.anchors[blk].T[:, :, None]
-        # per (probe, unit) and transmitter: False for the probe's own unit
-        # and for a transmitter outside its mask (NaN terminals included)
-        heard = [(np.abs(x - ax) <= half) & (np.abs(y - ay) <= half) for _, (x, y) in tx]
-        for h in heard:
+        # per transmitter, the flat index, row and column of the (probe, unit)
+        # entries heard: inside the mask, the probe's own unit excluded
+        heard = []
+        for _, (x, y) in tx:
+            h = (np.abs(x - ax) <= half) & (np.abs(y - ay) <= half)
             h[np.arange(len(own)), own] = False
+            flat = np.flatnonzero(h)
+            heard.append((flat, *divmod(flat, n)))
 
         def log_pass(rx, tx_s, tx_power, beta):
-            """Noise term and per-unit log pass factors, -log1p(beta*c/S),
-            with the unit's BS or its terminal transmitting; 0 where unheard."""
+            """Noise term and, per transmitter, the (probe, unit) block of
+            log pass factors -log1p(beta*c/S), 0 where unheard."""
             b = beta * ((tx_s - rx) ** 2).sum(axis=1) ** (alpha / 2) / tx_power  # beta/S
-            (rx_x, rx_y), terms = rx.T[:, :, None], []
-            for (power, (x, y)), h in zip(tx, heard):
-                d2 = (x - rx_x) ** 2 + (y - rx_y) ** 2
-                d2[~h] = np.inf
-                terms.append(-np.log1p(b[:, None] * power * d2 ** (-alpha / 2)))
-            return -b * params.noise_power, *terms
+            (rx_x, rx_y), terms = rx.T, []
+            for (power, (x, y)), (f, i, j) in zip(tx, heard):
+                d2 = (x[j] - rx_x[i]) ** 2 + (y[j] - rx_y[i]) ** 2
+                t = np.zeros((len(rx), n))
+                t.reshape(-1)[f] = -np.log1p(b[i] * power[j] * d2 ** (-alpha / 2))
+                terms.append(t)
+            return -b * params.noise_power, terms
 
-        noise_ul, bs_ul, ue_ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
-        noise_dl, bs_dl, ue_dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
+        noise_ul, ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
+        noise_dl, dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
         p = out[:, blk]
-        p[0] = np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum(axis=1))
-        p[1] = np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum(axis=1))
         if not direction_redraw:
+            p[0] = np.exp(noise_ul + ul[0].sum(axis=1))
+            p[1] = np.exp(noise_dl + dl[0].sum(axis=1))
             p[2] = p[0] * p[1]
             continue
+        (bs_ul, ue_ul), (bs_dl, ue_dl) = ul, dl
+        p[0] = np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum(axis=1))
+        p[1] = np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum(axis=1))
         mixture = np.logaddexp(
             np.log(params.delta) + bs_ul + bs_dl, np.log1p(-params.delta) + ue_ul + ue_dl
         )

@@ -257,6 +257,39 @@ class TestMaskedProbes:
                 assert got[:2, k] == pytest.approx(reference_probe_probs(dep, params, k),
                                                    rel=1e-10, abs=1e-300)
 
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_default_path_matches_reference(self, scheme, mode):
+        # the campaigns' own path: lean deployments, no direction_redraw
+        for lam, count in ((0.005, 4), (0.01, 2)):
+            params = replace(TABLE, lambda_b=lam)
+            for it in range(count):
+                dep = deploy_guarded(lam, TABLE.delta, 75.0, RngStream(96, it), scheme, mode,
+                                     all_terminals=False)
+                got = success_probabilities(dep, params)
+                assert np.array_equal(got[2], got[0] * got[1])
+                for k in range(len(dep.probe_bs)):
+                    assert got[:2, k] == pytest.approx(reference_probe_probs(dep, params, k),
+                                                       rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_silent_terminals_are_not_heard(self, scheme, mode):
+        # without direction_redraw a DL-active unit's terminal only receives:
+        # blanking it, or moving it 1e-3 m from a probe's UL or DL receiver,
+        # changes no bit of any probe
+        for it in range(2):
+            dep = deploy_guarded(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(97, it), scheme,
+                                 mode)
+            want = success_probabilities(dep, TABLE)
+            silent = dep.active_dl
+            near = [dep.bs_positions[dep.probe_bs[0]], dep.probe_ues[-1]]
+            for spot in [np.full(2, np.nan)] + near:
+                ues = dep.ues.copy()
+                ues[silent] = spot + [1e-3, 0.0]
+                got = success_probabilities(replace(dep, ues=ues), TABLE)
+                assert np.array_equal(got, want)
+
 
 class TestPalmEstimand:
     """Many probes per guarded realization estimate what one probe at the
@@ -584,6 +617,15 @@ class TestTransmittingTerminals:
                     assert np.array_equal(lean_p, success_probabilities(full, params))
                     redraw = success_probabilities(full, params, direction_redraw=True)
                     assert np.array_equal(redraw[:2], lean_p[:2])
+
+    def test_redraw_needs_every_terminal(self):
+        # a direction_redraw retry reads every unit's terminal: a NaN one is
+        # refused, not taken as unheard
+        dep = deploy_guarded(TABLE.lambda_b, TABLE.delta, 75.0, RngStream(4), "duca",
+                             all_terminals=False)
+        assert np.isnan(dep.ues).any()
+        with pytest.raises(ValueError, match="every unit's terminal"):
+            success_probabilities(dep, TABLE, direction_redraw=True)
 
     def test_campaign_places_the_terminals_it_reads(self, monkeypatch):
         # a direction_redraw retry lets every unit transmit from its terminal

@@ -15,6 +15,9 @@ directory with only that tree's ``src`` on the path:
   typical mode, with ``--samples-out``;
 - the first of those (duda, independent, dl) at ``noise_dbm = -20`` with
   noise off, which must match it, and with noise on;
+- ``simulate`` of both schemes at ``alpha = 2.5`` (independent, "dl"), and
+  with ``fixed``, ``direction_redraw`` and noise on at ``noise_dbm = -20``
+  ("ul"), with ``--samples-out``;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
 - ``simulate`` of both schemes in a sparse 24 m window, for each typical
   mode, with ``--samples-out``: many realizations there give a scheme no
@@ -80,6 +83,16 @@ def cases():
     for noise in ("off", "on"):
         out.append((f"{name} noise={noise} noise_dbm=-20", argv + ["--noise", noise],
                     doc + "noise_dbm = -20\n", files))
+    # the kernel at a non-integer power-law exponent, and the noise term of
+    # the direction_redraw mixture
+    for label, doc in (("independent dl alpha=2.5", "alpha = 2.5\ntypical_mode = dl\n"),
+                       ("fixed redraw=on ul noise=on noise_dbm=-20",
+                        "attempt_model = fixed\ndirection_redraw = on\ntypical_mode = ul\n"
+                        "noise = on\nnoise_dbm = -20\n")):
+        out.append((f"simulate both {label}",
+                    CLI + ["simulate", "--scheme", "both", "--iterations", "150",
+                           "--samples-out", "samples.csv"],
+                    doc + "max_attempts = 50\n", ["samples.csv"]))
     for big, rest in (("10000000000000000000", ""),
                       ("9223372036854775807", "attempt_model = fixed\nbeta_u_db = 200\n")):
         out.append((f"simulate max_attempts = {big} (out of domain)",
