@@ -109,16 +109,8 @@ _KEYS = {
     "rho_u": (float, "link", "rho_u", None),
     "rho_d": (float, "link", "rho_d", None),
 }
-KNOWN_KEYS = set(_KEYS)
-
-# checked before TrialConfig is built: its own checks carry no line
+# checked after TrialConfig, whose own rules come first
 _RANGES = (
-    ("iterations", lambda n: n >= 1, "at least 1"),
-    # a synthetic campaign's trial index is one 32-bit entropy word
-    ("iterations", lambda n: n <= 2**32, "at most 2**32"),
-    ("max_attempts", lambda n: n >= 1, "at least 1"),
-    # the retry kernel counts attempts in int64, and 1 + retries must not wrap
-    ("max_attempts", lambda n: n <= 2**32, "at most 2**32"),
     ("window_side", lambda side: side > 0, "positive"),
     ("seed", lambda n: n >= 0, "non-negative"),
 )
@@ -134,7 +126,7 @@ def parse_kv(text: str) -> Dict[str, Tuple[str, int]]:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if not value:
             raise ConfigError(f"missing value for {key!r}", lineno)
@@ -178,7 +170,7 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     for key, value in vals.items():
         _, group, field, _ = _KEYS[key]
         given[group][field] = _convert(key, value, kv[key][1])
-        # validate() names the field, the checks below name the key
+        # validate() and TrialConfig name the field, _RANGES the key
         lines[key] = lines[field] = kv[key][1]
     noise = given["noise"]
     if noise.get("on"):
@@ -189,12 +181,14 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     violations = validate(params, timing)
     if violations:
         raise ConfigError("; ".join(violations), lines.get(violations[0].split()[0], 0))
+    sweep = SweepSpec(**given["sweep"])
+    try:
+        trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
+    except ValueError as e:
+        raise ConfigError(str(e), lines.get(str(e).split()[0], 0)) from None
     for key, ok, rule in _RANGES:
         if key in vals and not ok(vals[key]):
             raise ConfigError(f"{key} must be {rule}", lines[key])
-
-    sweep = SweepSpec(**given["sweep"])
-    trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
     bundle = ConfigBundle(trial, sweep)
     # only `dudasim sweep` reads the sweep, and run_sweep checks a default one
     if any(key.startswith("sweep_") for key in vals):
@@ -250,7 +244,7 @@ def parse_config(text: str, overrides: Dict[str, str] | None = None) -> ConfigBu
     """
     kv = parse_kv(text)
     for key, raw in (overrides or {}).items():
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         kv[key] = (raw, 0)
     return build_bundle(kv)

@@ -27,14 +27,14 @@ where S is the received signal power, sigma^2 the noise power
 ``params.noise_power`` (0 with noise off, as in the analysis), and c_k the
 power delivered to the receiver by each unit the probe hears: another unit
 whose active transmitter (its DL base station or its terminal) lies in the
-probe's mask.  Only these terms are evaluated (with ``direction_redraw``,
-each of a unit's two transmitters in the mask).  This is the
-conditional success probability behind the SINR meta distribution
-(Haenggi, IEEE TWC 2016).  Each deployment is reduced to these numbers,
-for all its probes at once, as soon as it is generated (``realize``, one
-stage for the campaigns of every scheme, which share their draws); the
-retry loop then needs only Bernoulli and geometric draws, done for each
-campaign at once (``run_campaign``).
+probe's mask.  Only these terms are evaluated (``direction_redraw`` adds
+each unit's inactive transmitter in the mask, to the retry mixture alone).
+This is the conditional success probability behind the SINR meta
+distribution (Haenggi, IEEE TWC 2016).  Each deployment is reduced to
+these numbers, for all its probes at once, as soon as it is generated
+(``realize``, one stage for the campaigns of every scheme, which share
+their draws); the retry loop then needs only Bernoulli and geometric
+draws, done for each campaign at once (``run_campaign``).
 
 Attempt models
 --------------
@@ -125,19 +125,20 @@ def success_probabilities(
     its own unit silent and the other units masked to its square.  p_retry
     is the probability that a "fixed"-model retry passes both: p_ul * p_dl,
     or with direction_redraw the product over units of the shared-direction
-    mixture (see the module docstring), which needs every unit's terminal
+    mixture (see the module docstring), to which alone direction_redraw adds
+    each unit's inactive transmitter, so it needs every unit's terminal
     (``all_terminals``).  For blocks of probes at a time, it evaluates only
-    the (probe, unit) entries heard (see the module docstring), scatters
-    their log pass factors into a block of zeros and sums along rows.
+    the (probe, unit) entries heard, scatters their log pass factors into a
+    block of zeros and sums along rows.
     """
     bs, units, alpha, half = dep.bs_positions, dep.units, params.alpha, dep.mask_half_width
     active, n = dep.active_dl, len(units)
     if direction_redraw and np.isnan(dep.ues).any():
         raise ValueError("direction_redraw needs every unit's terminal (all_terminals)")
-    # each unit's transmitters as (power, (x, y) rows): its active one, or
-    # with direction_redraw its DL station and its terminal
+    # each unit's transmitters as (power, (x, y) rows): its active one, and
+    # with direction_redraw its inactive one
     tx = [(np.where(s, params.p_b, params.p_m), np.where(s[:, None], bs[units[:, 1]], dep.ues).T)
-          for s in ((np.ones(n, bool), np.zeros(n, bool)) if direction_redraw else (active,))]
+          for s in ((active, ~active) if direction_redraw else (active,))]
     k = len(dep.probe_bs)
     out = np.empty((3, k))
     step = max(1, _PROBE_BLOCK // n)
@@ -171,14 +172,14 @@ def success_probabilities(
         noise_ul, ul = log_pass(rx_ul, ue, params.p_m, params.beta_u)
         noise_dl, dl = log_pass(ue, tx_dl, params.p_b, params.beta_d)
         p = out[:, blk]
+        p[0] = np.exp(noise_ul + ul[0].sum(axis=1))
+        p[1] = np.exp(noise_dl + dl[0].sum(axis=1))
         if not direction_redraw:
-            p[0] = np.exp(noise_ul + ul[0].sum(axis=1))
-            p[1] = np.exp(noise_dl + dl[0].sum(axis=1))
             p[2] = p[0] * p[1]
             continue
-        (bs_ul, ue_ul), (bs_dl, ue_dl) = ul, dl
-        p[0] = np.exp(noise_ul + np.where(active, bs_ul, ue_ul).sum(axis=1))
-        p[1] = np.exp(noise_dl + np.where(active, bs_dl, ue_dl).sum(axis=1))
+        # each unit's station and terminal terms, from its active and inactive ones
+        (bs_ul, ue_ul), (bs_dl, ue_dl) = (
+            (np.where(active, a, i), np.where(active, i, a)) for a, i in (ul, dl))
         mixture = np.logaddexp(
             np.log(params.delta) + bs_ul + bs_dl, np.log1p(-params.delta) + ue_ul + ue_dl
         )
@@ -223,10 +224,10 @@ def _campaign_rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _realization_key(config: TrialConfig) -> tuple:
-    """What a campaign's realizations depend on, besides the scheme."""
-    redraw = config.attempt_model == "fixed" and config.direction_redraw
+    """What a campaign's realizations depend on, besides the scheme; last,
+    whether its retries redraw directions, which places every terminal."""
     return (config.params, config.iterations, config.seed, config.window_half_width,
-            config.typical_mode, redraw)
+            config.typical_mode, config.attempt_model == "fixed" and config.direction_redraw)
 
 
 def cluster_se(x: np.ndarray, clusters: np.ndarray) -> float:
@@ -268,9 +269,8 @@ def realize(config: TrialConfig, schemes: Sequence[str]) -> Dict[str, Realizatio
     ``direction_redraw`` lets every unit transmit from its terminal.  A
     scheme gets the same realizations whichever other schemes run beside it.
     """
-    params, n = config.params, config.iterations
-    redraw = config.attempt_model == "fixed" and config.direction_redraw
-    key = _realization_key(config)
+    params, n, key = config.params, config.iterations, _realization_key(config)
+    redraw = key[-1]
     out = {s: Realization(s, key, np.empty((3, n)), np.empty(n, dtype=np.int64))
            for s in schemes}
     filled = dict.fromkeys(schemes, 0)

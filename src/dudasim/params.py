@@ -78,7 +78,9 @@ class SlotTiming:
 
 @dataclass
 class TrialConfig:
-    """Configuration of a simulation campaign."""
+    """Configuration of a simulation campaign, and the one statement of its
+    range rules: ``iterations`` and ``max_attempts`` each in [1, 2**32],
+    ``scheme`` and ``attempt_model`` among their choices."""
 
     params: SystemParams = field(default_factory=SystemParams)
     timing: SlotTiming = field(default_factory=SlotTiming)
@@ -92,12 +94,13 @@ class TrialConfig:
     window_half_width: float = 75.0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.max_attempts > 2**32:
-            raise ValueError("max_attempts must be at most 2**32")
+        # a synthetic campaign's trial index is one 32-bit entropy word, and
+        # the retry kernel counts attempts in int64, where 1 + retries must not wrap
+        for name in ("iterations", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+            if getattr(self, name) > 2**32:
+                raise ValueError(f"{name} must be at most 2**32")
         if self.scheme not in ("duda", "duca"):
             raise ValueError("scheme must be 'duda' or 'duca'")
         if self.attempt_model not in ("independent", "fixed"):

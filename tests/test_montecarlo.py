@@ -618,6 +618,21 @@ class TestTransmittingTerminals:
                     redraw = success_probabilities(full, params, direction_redraw=True)
                     assert np.array_equal(redraw[:2], lean_p[:2])
 
+    @pytest.mark.parametrize("mode", ["dl", "ul"])
+    @pytest.mark.parametrize("scheme", ["duda", "duca"])
+    def test_redraw_leaves_first_attempts_alone(self, scheme, mode):
+        # direction_redraw adds inactive transmitters to p_retry only: p_ul
+        # and p_dl come from the same computation, bit for bit
+        for lam in (0.0025, 0.01):
+            dep = deploy_guarded(lam, TABLE.delta, 75.0, RngStream(50), scheme, mode)
+            assert isinstance(dep, Deployment) and not np.isnan(dep.ues).any()
+            for alpha in (2.5, 4.0):
+                for noise in (0.0, 1e-13):
+                    params = replace(TABLE, lambda_b=lam, alpha=alpha, noise_power=noise)
+                    off = success_probabilities(dep, params)
+                    on = success_probabilities(dep, params, direction_redraw=True)
+                    assert np.array_equal(on[:2], off[:2])
+
     def test_redraw_needs_every_terminal(self):
         # a direction_redraw retry reads every unit's terminal: a NaN one is
         # refused, not taken as unheard

@@ -284,6 +284,22 @@ class TestCli:
         assert capsys.readouterr().err == (
             "configuration error: line 1: iterations must be at most 2**32\n")
 
+    def test_more_than_2_32_iterations_rejected_by_trial_config(self):
+        # the cap is TrialConfig's own rule, not only the configuration parser's
+        with pytest.raises(ValueError, match=re.escape("iterations must be at most 2**32")):
+            TrialConfig(iterations=2**32 + 1)
+
+    @pytest.mark.parametrize("doc, message", [
+        ("seed = -1\niterations = 0\n", "line 2: iterations must be at least 1"),
+        ("window_side = -1\nmax_attempts = 0\n", "line 2: max_attempts must be at least 1"),
+    ])
+    def test_first_of_two_trial_errors_reported(self, tmp_path: Path, capsys, doc, message):
+        # TrialConfig's own rules come before the window and seed ranges
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(doc)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("doc", [
         # once an OverflowError traceback (exit 1) in the retry kernel
         "max_attempts = 10000000000000000000\niterations = 20\n",

@@ -19,6 +19,10 @@ directory with only that tree's ``src`` on the path:
   with ``fixed``, ``direction_redraw`` and noise on at ``noise_dbm = -20``
   ("ul"), with ``--samples-out``;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
+- ``simulate`` with ``iterations = 0``, ``max_attempts = 0``,
+  ``--iterations 0``, ``iterations = 4294967297`` with and without
+  ``rho_u``/``rho_d``, and two documents with two trial errors each (exit 2
+  and its message);
 - ``simulate`` of both schemes in a sparse 24 m window, for each typical
   mode, with ``--samples-out``: many realizations there give a scheme no
   usable probe;
@@ -98,6 +102,13 @@ def cases():
         out.append((f"simulate max_attempts = {big} (out of domain)",
                     CLI + ["simulate", "--samples-out", "samples.csv"],
                     f"max_attempts = {big}\n{rest}iterations = 20\n", ["samples.csv"]))
+    for doc in ("iterations = 0\n", "max_attempts = 0\n", f"iterations = {2**32 + 1}\n",
+                f"iterations = {2**32 + 1}\nrho_u = 0.9\nrho_d = 0.9\n",
+                "seed = -1\niterations = 0\n", "window_side = -1\nmax_attempts = 0\n"):
+        out.append((f"simulate {doc.strip().replace(chr(10), ', ')} (out of domain)",
+                    CLI + ["simulate"], doc, []))
+    out.append(("simulate --iterations 0 (out of domain)",
+                CLI + ["simulate", "--iterations", "0"], "", []))
     for mode in ("dl", "ul"):
         out.append((f"simulate both window_side=24 {mode}",
                     CLI + ["simulate", "--scheme", "both", "--iterations", "100",
