@@ -7,9 +7,9 @@ deployment realization as CSV for plotting).
 
 Flags mirror configuration keys and override the --config file, which in
 turn overrides the built-in defaults.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error (a window too small to yield a usable
-realization included, a success probability whose quadrature does not
-converge, and a sweep whose every row failed).
+failure, 2 configuration error (a window too small for a usable
+realization, a success probability whose quadrature does not converge, a
+sweep whose every row failed, a file that cannot be read, decoded or written).
 """
 
 from __future__ import annotations
@@ -89,16 +89,19 @@ def _load_bundle(args: argparse.Namespace) -> ConfigBundle:
     if args.config is not None:
         try:
             text = args.config.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
     return parse_config(text, _overrides(args))
 
 
 def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
 
 
 def _cmd_analytic(args, bundle: ConfigBundle) -> int:
@@ -124,7 +127,7 @@ def _cmd_simulate(args, bundle: ConfigBundle) -> int:
     rows = [simulate_row("s_u", bundle.timing.s_u, st) for st in stats]
     _emit(rows_to_csv(rows, args.timing), args.out)
     if args.samples_out is not None:
-        args.samples_out.write_text(samples_csv(*stats))
+        _emit(samples_csv(*stats), args.samples_out)
     return EXIT_OK
 
 

@@ -109,11 +109,6 @@ _KEYS = {
     "rho_u": (float, "link", "rho_u", None),
     "rho_d": (float, "link", "rho_d", None),
 }
-# checked after TrialConfig, whose own rules come first
-_RANGES = (
-    ("window_side", lambda side: side > 0, "positive"),
-    ("seed", lambda n: n >= 0, "non-negative"),
-)
 
 
 def parse_kv(text: str) -> Dict[str, Tuple[str, int]]:
@@ -170,7 +165,7 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
     for key, value in vals.items():
         _, group, field, _ = _KEYS[key]
         given[group][field] = _convert(key, value, kv[key][1])
-        # validate() and TrialConfig name the field, _RANGES the key
+        # validate() and TrialConfig name the field, or for window_side the key
         lines[key] = lines[field] = kv[key][1]
     noise = given["noise"]
     if noise.get("on"):
@@ -186,9 +181,6 @@ def build_bundle(kv: Dict[str, Tuple[str, int]]) -> ConfigBundle:
         trial = TrialConfig(params, timing, scheme=sweep.schemes[0], **given["trial"])
     except ValueError as e:
         raise ConfigError(str(e), lines.get(str(e).split()[0], 0)) from None
-    for key, ok, rule in _RANGES:
-        if key in vals and not ok(vals[key]):
-            raise ConfigError(f"{key} must be {rule}", lines[key])
     bundle = ConfigBundle(trial, sweep)
     # only `dudasim sweep` reads the sweep, and run_sweep checks a default one
     if any(key.startswith("sweep_") for key in vals):

@@ -73,7 +73,7 @@ from .deployment import (
     MAX_DRAWS, Deployment, NoRealizationError, RngStream, generate_deployment, seed_words,
 )
 from .latency import protocol_delay_sample
-from .params import SlotTiming, SystemParams, TrialConfig
+from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig
 
 
 @dataclass
@@ -230,6 +230,19 @@ def _realization_key(config: TrialConfig) -> tuple:
             config.typical_mode, config.attempt_model == "fixed" and config.direction_redraw)
 
 
+def _latency_stats(config: TrialConfig, rng, attempts, censored, firsts, clusters) -> LatencyStats:
+    """A campaign's statistics from its trials' attempt counts: latencies
+    drawn from ``rng``, and each direction's first-attempt frequency with
+    its cluster-robust standard error, over the (UL, DL) ``clusters``."""
+    (ul, dl), (ul_clusters, dl_clusters) = firsts, clusters
+    return LatencyStats(
+        samples=latency_samples(config.timing, config.scheme, attempts, rng),
+        attempts=attempts, censored=censored,
+        empirical_rho_u=float(ul.mean()), empirical_rho_d=float(dl.mean()),
+        scheme=config.scheme, rho_se=(cluster_se(ul, ul_clusters), cluster_se(dl, dl_clusters)),
+    )
+
+
 def cluster_se(x: np.ndarray, clusters: np.ndarray) -> float:
     """Standard error of the mean of x when the values of one cluster may be
     correlated and clusters are independent: the root of the sum over the G
@@ -327,18 +340,8 @@ def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) ->
         p_retry = p_ul.mean() * p_dl.mean()
         pick = rng.integers(n, size=n)
         p_dl, dl_clusters = p_dl[pick], clusters[pick]
-    attempts, censored, ul_first, dl_first = draw_attempts(
-        p_ul, p_dl, p_retry, config.max_attempts, rng
-    )
-    return LatencyStats(
-        samples=latency_samples(config.timing, config.scheme, attempts, rng),
-        attempts=attempts,
-        censored=censored,
-        empirical_rho_u=float(ul_first.mean()),
-        empirical_rho_d=float(dl_first.mean()),
-        scheme=config.scheme,
-        rho_se=(cluster_se(ul_first, clusters), cluster_se(dl_first, dl_clusters)),
-    )
+    attempts, censored, *firsts = draw_attempts(p_ul, p_dl, p_retry, config.max_attempts, rng)
+    return _latency_stats(config, rng, attempts, censored, firsts, (clusters, dl_clusters))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
@@ -404,14 +407,12 @@ def _row_seed():
     return RowSeed
 
 
-def run_synthetic_campaign(
-    rho_u: float, rho_d: float, timing: SlotTiming, scheme: str,
-    iterations: int, seed: int, max_attempts: int = 1000,
-) -> LatencyStats:
+def run_synthetic_campaign(config: TrialConfig, link: LinkSuccess) -> LatencyStats:
     """Campaign with the geometry layer bypassed: per-attempt, per-direction
-    successes are independent Bernoulli draws at the given probabilities.
-    Used by success-probability sweeps that treat (rho_u, rho_d) as free
-    parameters.
+    successes are independent Bernoulli draws at the forced ``link``
+    probabilities.  Used by success-probability sweeps that treat (rho_u,
+    rho_d) as free parameters; ``config`` gives the timing, scheme,
+    iterations, seed and max_attempts, and states their rules.
 
     Trial ``it`` draws from its own stream, ``default_rng([seed, it,
     0x5E7])``: attempt k passes UL if its (2k-1)-th uniform is below rho_u
@@ -420,10 +421,10 @@ def run_synthetic_campaign(
     SeedSequence states are hashed for blocks of trials at once, and numpy's
     PCG64 takes each trial's row.  The uniforms are read in blocks sized so
     that about 99% of trials end in their first; those read past a trial's
-    last attempt are never used.  Latencies come from one campaign stream.
-    At most 2**32 trials, so that the trial index is one entropy word."""
-    if iterations > 2**32:
-        raise ValueError(f"a synthetic campaign takes at most 2**32 trials, got {iterations}")
+    last attempt are never used.  Latencies come from one campaign stream,
+    and each trial is its own cluster."""
+    rho_u, rho_d, seed = link.rho_u, link.rho_d, config.seed
+    iterations, max_attempts = config.iterations, config.max_attempts
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
@@ -452,16 +453,9 @@ def run_synthetic_campaign(
                 k += m
             else:
                 attempts[it], censored[it] = max_attempts, True
-    return LatencyStats(
-        samples=latency_samples(timing, scheme, attempts, _campaign_rng(seed, 0x5E7)),
-        attempts=attempts,
-        censored=censored,
-        empirical_rho_u=float(ul_first.mean()),
-        empirical_rho_d=float(dl_first.mean()),
-        scheme=scheme,
-        rho_se=(cluster_se(ul_first, np.arange(iterations)),
-                cluster_se(dl_first, np.arange(iterations))),
-    )
+    trials = np.arange(iterations)
+    return _latency_stats(config, _campaign_rng(seed, 0x5E7), attempts, censored,
+                          (ul_first, dl_first), (trials, trials))
 
 
 def samples_csv(*stats: LatencyStats) -> str:

@@ -78,9 +78,11 @@ class SlotTiming:
 
 @dataclass
 class TrialConfig:
-    """Configuration of a simulation campaign, and the one statement of its
-    range rules: ``iterations`` and ``max_attempts`` each in [1, 2**32],
-    ``scheme`` and ``attempt_model`` among their choices."""
+    """Configuration of a campaign, geometry or forced-probability, and the
+    one statement of its fields' rules, checked in this order:
+    ``iterations`` and ``max_attempts`` each in [1, 2**32]; ``scheme``,
+    ``attempt_model`` and ``typical_mode`` among their choices; a positive
+    ``window_half_width``; a non-negative ``seed``."""
 
     params: SystemParams = field(default_factory=SystemParams)
     timing: SlotTiming = field(default_factory=SlotTiming)
@@ -105,6 +107,12 @@ class TrialConfig:
             raise ValueError("scheme must be 'duda' or 'duca'")
         if self.attempt_model not in ("independent", "fixed"):
             raise ValueError("attempt_model must be 'independent' or 'fixed'")
+        if self.typical_mode not in ("ul", "dl"):
+            raise ValueError("typical_mode must be 'ul' or 'dl'")
+        if not self.window_half_width > 0:  # named by the configuration key
+            raise ValueError("window_side must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

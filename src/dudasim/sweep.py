@@ -5,7 +5,8 @@ stochastic-geometry success probabilities and feed them into the closed
 forms; simulate rows run Monte Carlo campaigns.  For ``rho_product``
 sweeps the success probabilities are set directly to (sqrt(p), sqrt(p))
 and the geometry layer is bypassed, in analytic mode via the formulas and
-in simulate mode via Bernoulli-attempt campaigns.
+in simulate mode via Bernoulli-attempt campaigns.  Every simulate
+campaign, forced or not, runs on the point's ``TrialConfig`` for its scheme.
 
 Each point is set by ``config.at_point`` through the key table, once
 ``config.check_sweep`` has bounded the sweep's endpoints.  The CSV columns
@@ -84,19 +85,14 @@ def closed_form(scheme: str, timing: SlotTiming, link: LinkSuccess) -> LatencyBr
     return (latency_duda if scheme == "duda" else latency_duca)(timing, link)
 
 
-def simulate_campaign(
-    trial: TrialConfig, forced: Optional[LinkSuccess],
-    realized: Optional[Dict[str, Realization]] = None,
-) -> LatencyStats:
+def simulate_campaign(trial: TrialConfig, forced: Optional[LinkSuccess],
+                      realized: Optional[Dict[str, Realization]]) -> LatencyStats:
     """One scheme's Monte Carlo campaign: Bernoulli attempts at a forced
-    (rho_u, rho_d), bypassing the geometry, or the geometry campaign on the
-    scheme's entry of ``realized`` (``montecarlo.realize``), if given."""
+    (rho_u, rho_d), bypassing the geometry, or else the geometry campaign on
+    the scheme's entry of ``realized`` (``montecarlo.realize``)."""
     if forced is not None:
-        return run_synthetic_campaign(
-            forced.rho_u, forced.rho_d, trial.timing, trial.scheme,
-            trial.iterations, trial.seed, trial.max_attempts,
-        )
-    return run_campaign(trial, realized[trial.scheme] if realized else None)
+        return run_synthetic_campaign(trial, forced)
+    return run_campaign(trial, realized[trial.scheme])
 
 
 def simulate_row(variable: str, value: float, stats: LatencyStats) -> SweepRow:

@@ -667,14 +667,14 @@ class TestTransmittingTerminals:
 
 class TestSyntheticCampaign:
     def test_perfect_links(self):
-        st = run_synthetic_campaign(1.0, 1.0, SlotTiming(), "duda", 200, seed=3)
+        st = run_synthetic_campaign(TrialConfig(iterations=200, seed=3), LinkSuccess(1.0, 1.0))
         assert np.all(st.attempts == 1)
         assert np.allclose(st.samples, 1.0)
         assert st.empirical_rho_u == 1.0
 
     def test_geometric_mean_attempts(self):
         rho = 0.7
-        st = run_synthetic_campaign(rho, rho, SlotTiming(), "duda", 20000, seed=5)
+        st = run_synthetic_campaign(TrialConfig(iterations=20000, seed=5), LinkSuccess(rho, rho))
         p = rho * rho
         se = math.sqrt((1 - p) / p**2 / 20000)
         assert abs(st.attempts.mean() - 1 / p) < 3 * se
@@ -682,7 +682,8 @@ class TestSyntheticCampaign:
     def test_duca_mean_matches_closed_form(self):
         timing = SlotTiming()
         link = LinkSuccess(0.8, 0.9)
-        st = run_synthetic_campaign(0.8, 0.9, timing, "duca", 20000, seed=7)
+        st = run_synthetic_campaign(
+            TrialConfig(timing=timing, scheme="duca", iterations=20000, seed=7), link)
         se = float(np.std(st.samples, ddof=1)) / math.sqrt(20000)
         # true probabilities are known here, no plug-in noise
         assert abs(st.mean - latency_duca(timing, link).total) < 3.5 * se
@@ -693,8 +694,12 @@ class TestSyntheticMatchesReference:
 
     @staticmethod
     def _assert_same(rho_u, rho_d, scheme, iterations, seed, max_attempts):
-        args = (rho_u, rho_d, SlotTiming(), scheme, iterations, seed, max_attempts)
-        got, want = run_synthetic_campaign(*args), reference_synthetic_campaign(*args)
+        got = run_synthetic_campaign(
+            TrialConfig(timing=SlotTiming(), scheme=scheme, iterations=iterations, seed=seed,
+                        max_attempts=max_attempts),
+            LinkSuccess(rho_u, rho_d))
+        want = reference_synthetic_campaign(
+            rho_u, rho_d, SlotTiming(), scheme, iterations, seed, max_attempts)
         assert np.array_equal(got.attempts, want.attempts)
         assert np.array_equal(got.censored, want.censored)
         assert got.empirical_rho_u == want.empirical_rho_u
@@ -748,7 +753,8 @@ class TestSeedHash:
             return real(bit_generator)
 
         monkeypatch.setattr(np.random, "Generator", spy)
-        run_synthetic_campaign(0.5, 0.5, SlotTiming(), "duda", 3, seed, 10)
+        run_synthetic_campaign(TrialConfig(iterations=3, seed=seed, max_attempts=10),
+                               LinkSuccess(0.5, 0.5))
         monkeypatch.undo()
         assert seen == [np.random.default_rng([seed, it, 0x5E7]).bit_generator.state
                         for it in range(3)]
@@ -762,22 +768,19 @@ class TestSeedHash:
     def test_campaign_across_hash_blocks(self, monkeypatch):
         # blocks of 3 trials: 7 trials span two full blocks and a short one
         monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 3)
-        args = (0.6, 0.45, SlotTiming(), "duca", 7, 2**33 + 1, 50)
-        got, want = run_synthetic_campaign(*args), reference_synthetic_campaign(*args)
+        got = run_synthetic_campaign(
+            TrialConfig(scheme="duca", iterations=7, seed=2**33 + 1, max_attempts=50),
+            LinkSuccess(0.6, 0.45))
+        want = reference_synthetic_campaign(0.6, 0.45, SlotTiming(), "duca", 7, 2**33 + 1, 50)
         assert np.array_equal(got.attempts, want.attempts)
         assert np.array_equal(got.samples, want.samples)
         assert (got.empirical_rho_u, got.empirical_rho_d) == (
             want.empirical_rho_u, want.empirical_rho_d)
 
-    def test_more_than_2_32_trials_rejected_before_allocation(self):
-        # the trial index is one entropy word; past it streams would repeat
-        with pytest.raises(ValueError, match=r"at most 2\*\*32 trials, got 4294967297"):
-            run_synthetic_campaign(0.5, 0.5, SlotTiming(), "duda", 2**32 + 1, seed=0)
-
 
 class TestCsvSink:
     def test_schema_and_determinism(self):
-        st = run_synthetic_campaign(0.9, 0.9, SlotTiming(), "duda", 20, seed=11)
+        st = run_synthetic_campaign(TrialConfig(iterations=20, seed=11), LinkSuccess(0.9, 0.9))
         text = samples_csv(st)
         lines = text.strip().split("\n")
         assert lines[0] == "iteration,scheme,attempts,latency,censored"

@@ -289,9 +289,29 @@ class TestCli:
         with pytest.raises(ValueError, match=re.escape("iterations must be at most 2**32")):
             TrialConfig(iterations=2**32 + 1)
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(typical_mode="UL"), "typical_mode must be 'ul' or 'dl'"),
+        (dict(window_half_width=0.0), "window_side must be positive"),
+        (dict(window_half_width=math.nan), "window_side must be positive"),
+        (dict(seed=-1), "seed must be non-negative"),
+    ])
+    def test_trial_config_states_every_field_rule(self, setting, message):
+        # every campaign, forced or not, reads these fields from its TrialConfig
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrialConfig(**setting)
+
+    def test_window_side_that_halves_to_zero_exits_2(self, tmp_path: Path, capsys):
+        # 5e-324 is positive, but half of it is 0.0: the rule is on the field
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("window_side = 5e-324\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: line 1: window_side must be positive\n")
+
     @pytest.mark.parametrize("doc, message", [
         ("seed = -1\niterations = 0\n", "line 2: iterations must be at least 1"),
         ("window_side = -1\nmax_attempts = 0\n", "line 2: max_attempts must be at least 1"),
+        ("seed = -1\nwindow_side = -1\n", "line 2: window_side must be positive"),
     ])
     def test_first_of_two_trial_errors_reported(self, tmp_path: Path, capsys, doc, message):
         # TrialConfig's own rules come before the window and seed ranges
@@ -497,6 +517,28 @@ class TestCli:
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
         assert out.returncode == 2
+
+    def test_undecodable_config_file_exits_2(self, tmp_path: Path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# d\xe9faut\niterations = 20\n")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {cfg}: ")
+
+    def test_unwritable_out_exits_2(self, tmp_path: Path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["analytic", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out}: ")
+
+    def test_unwritable_samples_out_exits_2(self, tmp_path: Path, capsys):
+        # the table has already gone to stdout when the samples file fails
+        cfg, raw = tmp_path / "a.cfg", tmp_path / "missing" / "raw.csv"
+        cfg.write_text("rho_u = 0.6\nrho_d = 0.7\niterations = 20\n")
+        assert main(["simulate", "--config", str(cfg), "--samples-out", str(raw)]) == 2
+        got = capsys.readouterr()
+        assert got.out.startswith("variable,value,scheme")
+        assert got.err.startswith(f"configuration error: cannot write {raw}: ")
 
     def test_snapshot_deterministic(self, tmp_path: Path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -19,6 +19,8 @@ directory with only that tree's ``src`` on the path:
   with ``fixed``, ``direction_redraw`` and noise on at ``noise_dbm = -20``
   ("ul"), with ``--samples-out``;
 - ``simulate`` at two ``max_attempts`` beyond 2**32, with ``--samples-out``;
+- a forced ``simulate`` of both schemes at ``rho_u = 0.6``, ``rho_d = 0.7``,
+  with ``--samples-out``;
 - ``simulate`` with ``iterations = 0``, ``max_attempts = 0``,
   ``--iterations 0``, ``iterations = 4294967297`` with and without
   ``rho_u``/``rho_d``, and two documents with two trial errors each (exit 2
@@ -28,10 +30,14 @@ directory with only that tree's ``src`` on the path:
   usable probe;
 - one small ``sweep --mode both`` per sweep variable, one ``simulate``
   sweep of both schemes in "ul" typical mode with ``direction_redraw``,
-  and one sweep per variable that leaves its domain (exit 2 and its
-  message);
+  the benchmark's ``sweep_rho`` sweep at its own size, and one sweep per
+  variable that leaves its domain (exit 2 and its message);
 - ``simulate`` in a 1 m window (exit 2 and its message), and a
   ``simulate`` sweep there, where every row fails into NaNs;
+- ``simulate`` at ``window_side = 5e-324``, whose half is 0.0, and with a
+  file that cannot be read, decoded or written: a config file that is not
+  UTF-8, and ``--out`` and ``--samples-out`` into a missing directory
+  (exit 2 and its message);
 - ``validate --iterations 500``; ``validate`` in a 1 m window (exit 2 and
   its message); ``validate --iterations 200`` at ``beta_u_db = 40``, where
   duca has no first-attempt UL success and duda one;
@@ -64,7 +70,8 @@ TIMEOUT_S = 120
 
 
 def cases():
-    """(name, argv after the interpreter, config document, files written)."""
+    """(name, argv after the interpreter, config document as text or bytes,
+    files written)."""
     # at the default -174 dBm, noise moves no printed digit
     out = [(f"analytic noise={noise}", CLI + ["analytic", "--noise", noise],
             "noise_dbm = -80\n", []) for noise in ("off", "on")]
@@ -109,6 +116,10 @@ def cases():
                     CLI + ["simulate"], doc, []))
     out.append(("simulate --iterations 0 (out of domain)",
                 CLI + ["simulate", "--iterations", "0"], "", []))
+    forced = "rho_u = 0.6\nrho_d = 0.7\nmax_attempts = 50\n"
+    out.append(("simulate both rho_u=0.6 rho_d=0.7",
+                CLI + ["simulate", "--scheme", "both", "--iterations", "150",
+                       "--samples-out", "samples.csv"], forced, ["samples.csv"]))
     for mode in ("dl", "ul"):
         out.append((f"simulate both window_side=24 {mode}",
                     CLI + ["simulate", "--scheme", "both", "--iterations", "100",
@@ -123,6 +134,9 @@ def cases():
                 CLI + ["sweep", "--sweep", "lambda_b:0.004:0.006:2", "--mode", "simulate",
                        "--scheme", "both", "--iterations", "60"],
                 "typical_mode = ul\nattempt_model = fixed\ndirection_redraw = on\n", []))
+    out.append(("sweep rho_product:0.3:1.0:8 simulate both (the sweep_rho workload)",
+                CLI + ["sweep", "--sweep", "rho_product:0.3:1.0:8", "--mode", "simulate",
+                       "--scheme", "both", "--iterations", "6000", "--seed", "7"], "", []))
     for sweep in ("s_u:0.1:1.5:3", "rho_product:0:1:3", "delta:0.2:1:3",
                   "lambda_b:0:0.006:3", "beta_u_db:-4000:0:3", "beta_d_db:-4000:0:3"):
         out.append((f"sweep {sweep} (out of domain)", CLI + ["sweep", "--sweep", sweep], "", []))
@@ -130,6 +144,15 @@ def cases():
     out.append(("sweep s_u:0.1:0.9:2 window_side=1 (every row fails)",
                 CLI + ["sweep", "--sweep", "s_u:0.1:0.9:2", "--mode", "simulate"],
                 "window_side = 1\n", []))
+    out.append(("simulate window_side=5e-324 (out of domain)", CLI + ["simulate"],
+                "window_side = 5e-324\n", []))
+    out.append(("simulate, config not UTF-8 (file error)", CLI + ["simulate"],
+                b"# d\xe9faut\niterations = 20\n", []))
+    out.append(("analytic --out missing/x.csv (file error)",
+                CLI + ["analytic", "--out", "missing/x.csv"], "", []))
+    out.append(("simulate --samples-out missing/samples.csv (file error)",
+                CLI + ["simulate", "--iterations", "20", "--samples-out", "missing/samples.csv"],
+                forced, []))
     out.append(("validate", CLI + ["validate", "--iterations", "500"], "", []))
     out.append(("validate window_side=1", CLI + ["validate"], "window_side = 1\n", []))
     out.append(("validate beta_u_db=40 (duca rho_u = 0)",
@@ -145,7 +168,7 @@ def run(tree: Path, case) -> dict:
     with tempfile.TemporaryDirectory(prefix="fingerprint_") as tmp:
         cwd = Path(tmp)
         if doc is not None:
-            (cwd / "run.cfg").write_text(doc)
+            (cwd / "run.cfg").write_bytes(doc if isinstance(doc, bytes) else doc.encode())
             argv = argv + ["--config", "run.cfg"]
         else:  # a script of the tree
             argv = [str(tree / argv[0])] + argv[1:]
