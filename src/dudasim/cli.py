@@ -59,10 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", type=Path, help="output CSV path (default stdout)")
         p.add_argument("--noise", choices=("on", "off"), help="include thermal noise")
-        p.add_argument(
-            "--timing", action="store_true",
-            help="append a wall_time_ms column (breaks byte-identical reruns)",
-        )
+        if name in ("simulate", "sweep"):
+            p.add_argument(
+                "--timing", action="store_true",
+                help="append a wall_time_ms column (breaks byte-identical reruns)",
+            )
         if name == "simulate":
             p.add_argument(
                 "--samples-out", type=Path, help="write raw per-trial samples CSV"

@@ -62,16 +62,13 @@ quantitatively.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deployment import (
-    MAX_DRAWS, Deployment, NoRealizationError, RngStream, generate_deployment, seed_words,
-)
+from .deployment import MAX_DRAWS, Deployment, NoRealizationError, RngStream, generate_deployment
 from .latency import protocol_delay_sample
 from .params import LinkSuccess, SlotTiming, SystemParams, TrialConfig
 
@@ -344,69 +341,6 @@ def run_campaign(config: TrialConfig, realized: Optional[Realization] = None) ->
     return _latency_stats(config, rng, attempts, censored, firsts, (clusters, dl_clusters))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_SEED_BLOCK = 4096  # trials whose stream seeds are hashed at once
-
-
-def _seed_states(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of an
-    (n, w) uint32 entropy array, one column of n words at a time: numpy's
-    pool hashing, mixing and state generation in uint32 arithmetic."""
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * _MULT_A & 0xFFFFFFFF
-        v = v * h
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
-        return r ^ (r >> 16)
-
-    n, w = words.shape
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < w else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, w):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
-    state = np.empty((n, 8), dtype=np.uint32)
-    h = _INIT_B
-    for i in range(8):
-        v = pool[i % 4] ^ h
-        h = h * _MULT_B & 0xFFFFFFFF
-        v = v * h
-        state[:, i] = v ^ (v >> 16)
-    return state.view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _row_seed():
-    """An ISeedSequence that hands PCG64 one precomputed state row.  Made on
-    first use, so importing the package does not load numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class RowSeed(ISeedSequence):
-        __slots__ = ("row",)
-
-        def __init__(self, row: np.ndarray):
-            self.row = row
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a precomputed seed row serves only (4, uint64)")
-            return self.row
-
-    return RowSeed
-
-
 def run_synthetic_campaign(config: TrialConfig, link: LinkSuccess) -> LatencyStats:
     """Campaign with the geometry layer bypassed: per-attempt, per-direction
     successes are independent Bernoulli draws at the forced ``link``
@@ -414,48 +348,41 @@ def run_synthetic_campaign(config: TrialConfig, link: LinkSuccess) -> LatencySta
     rho_d) as free parameters; ``config`` gives the timing, scheme,
     iterations, seed and max_attempts, and states their rules.
 
-    Trial ``it`` draws from its own stream, ``default_rng([seed, it,
-    0x5E7])``: attempt k passes UL if its (2k-1)-th uniform is below rho_u
-    and DL if its 2k-th is below rho_d, and the trial ends at the first
-    attempt that passes both, or censored at max_attempts.  The streams'
-    SeedSequence states are hashed for blocks of trials at once, and numpy's
-    PCG64 takes each trial's row.  The uniforms are read in blocks sized so
-    that about 99% of trials end in their first; those read past a trial's
-    last attempt are never used.  Latencies come from one campaign stream,
-    and each trial is its own cluster."""
-    rho_u, rho_d, seed = link.rho_u, link.rho_d, config.seed
+    The campaign reads one stream, ``_campaign_rng(seed, 0x5E7)``, and its
+    trials read it in turn, in blocks of min(max_attempts, 1024 if
+    rho_u*rho_d < 5/1024 else ceil(5/(rho_u*rho_d))) attempts, so that about
+    99% of trials end in their first block.  Attempt k of a trial passes UL
+    if its (2k-1)-th uniform is below rho_u and DL if its 2k-th is below
+    rho_d, and the trial ends at the first attempt that passes both, or
+    censored at max_attempts; the uniforms of its last block past that
+    attempt are dropped.  So every trial reads fresh uniforms, disjoint from
+    every other trial's.  The coupled scheme's frame offsets come from the
+    same stream after the last trial, and each trial is its own cluster."""
+    rho_u, rho_d = link.rho_u, link.rho_d
     iterations, max_attempts = config.iterations, config.max_attempts
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
     dl_first = np.zeros(iterations, dtype=bool)
-    row_seed, generator, pcg64 = _row_seed(), np.random.Generator, np.random.PCG64
-    base = seed_words(seed, 0, 0x5E7)  # base[-2] holds the trial index
-    # attempts per block: 5 mean attempts, at most 1024
+    rng = _campaign_rng(config.seed, 0x5E7)
     p = rho_u * rho_d
     block = min(max_attempts, 1024 if p < 5 / 1024 else math.ceil(5 / p))
-    for first in range(0, iterations, _SEED_BLOCK):
-        ids = range(first, min(first + _SEED_BLOCK, iterations))
-        words = np.tile(base, (len(ids), 1))
-        words[:, -2] = ids
-        for it, state in zip(ids, _seed_states(words)):
-            rng = generator(pcg64(row_seed(state)))
-            k = 0  # attempts read
-            while k < max_attempts:
-                m = min(block, max_attempts - k)
-                u = rng.random(2 * m).tolist()
-                if k == 0:
-                    ul_first[it], dl_first[it] = u[0] < rho_u, u[1] < rho_d
-                hit = next((j for j in range(0, 2 * m, 2) if u[j] < rho_u and u[j + 1] < rho_d), -1)
-                if hit >= 0:
-                    attempts[it] = k + hit // 2 + 1
-                    break
-                k += m
-            else:
-                attempts[it], censored[it] = max_attempts, True
+    for it in range(iterations):
+        k = 0  # attempts read
+        while k < max_attempts:
+            m = min(block, max_attempts - k)
+            u = rng.random(2 * m).tolist()
+            if k == 0:
+                ul_first[it], dl_first[it] = u[0] < rho_u, u[1] < rho_d
+            hit = next((j for j in range(0, 2 * m, 2) if u[j] < rho_u and u[j + 1] < rho_d), -1)
+            if hit >= 0:
+                attempts[it] = k + hit // 2 + 1
+                break
+            k += m
+        else:
+            attempts[it], censored[it] = max_attempts, True
     trials = np.arange(iterations)
-    return _latency_stats(config, _campaign_rng(seed, 0x5E7), attempts, censored,
-                          (ul_first, dl_first), (trials, trials))
+    return _latency_stats(config, rng, attempts, censored, (ul_first, dl_first), (trials, trials))
 
 
 def samples_csv(*stats: LatencyStats) -> str:

@@ -96,7 +96,8 @@ class TrialConfig:
     window_half_width: float = 75.0
 
     def __post_init__(self) -> None:
-        # a synthetic campaign's trial index is one 32-bit entropy word, and
+        # a campaign keeps arrays of one entry per trial, which at 2**32 trials
+        # already pass 100 GB, so a larger count is refused before any allocation;
         # the retry kernel counts attempts in int64, where 1 + retries must not wrap
         for name in ("iterations", "max_attempts"):
             if getattr(self, name) < 1:

@@ -245,34 +245,42 @@ def reference_synthetic_campaign(
     rho_u: float, rho_d: float, timing, scheme: str,
     iterations: int, seed: int, max_attempts: int = 1000,
 ):
-    """The per-attempt synthetic campaign that predates the block-reading
-    one, kept as its reference: each trial builds ``default_rng([seed, it,
-    0x5E7])`` and draws two scalar uniforms (UL, then DL) per attempt until
-    both pass or max_attempts is reached.  Returns a LatencyStats."""
+    """The forced-probability campaign judged one attempt at a time, as the
+    reference of its layout: the trials read the campaign's stream,
+    ``SeedSequence(seed, spawn_key=(0x5E7,))``, in turn, in blocks of
+    min(max_attempts, 1024 if p < 5/1024 else ceil(5/p)) attempts, p =
+    rho_u*rho_d, two uniforms (UL, then DL) per attempt.  Each attempt is
+    judged by scalar comparisons until both directions pass or max_attempts
+    is reached; the rest of the trial's last block is dropped.  The frame
+    offsets come from the same stream after the last trial.  Returns a
+    LatencyStats."""
     from dudasim.montecarlo import LatencyStats, cluster_se, latency_samples
 
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5E7,)))
+    p = rho_u * rho_d
+    block = min(max_attempts, 1024 if p < 5 / 1024 else math.ceil(5 / p))
     attempts = np.zeros(iterations, dtype=np.int64)
     censored = np.zeros(iterations, dtype=bool)
     ul_first = np.zeros(iterations, dtype=bool)
     dl_first = np.zeros(iterations, dtype=bool)
     for it in range(iterations):
-        rng = np.random.default_rng([seed, it, 0x5E7])
         k = 0
         success = False
-        while k < max_attempts:
-            k += 1
-            ul_ok = rng.uniform() < rho_u
-            dl_ok = rng.uniform() < rho_d
-            if k == 1:
-                ul_first[it], dl_first[it] = ul_ok, dl_ok
-            if ul_ok and dl_ok:
-                success = True
-                break
+        while k < max_attempts and not success:
+            u = rng.random(2 * min(block, max_attempts - k))
+            for j in range(0, len(u), 2):
+                k += 1
+                ul_ok = float(u[j]) < rho_u
+                dl_ok = float(u[j + 1]) < rho_d
+                if k == 1:
+                    ul_first[it], dl_first[it] = ul_ok, dl_ok
+                if ul_ok and dl_ok:
+                    success = True
+                    break
         attempts[it] = k
         censored[it] = not success
-    latency_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5E7,)))
     return LatencyStats(
-        samples=latency_samples(timing, scheme, attempts, latency_rng),
+        samples=latency_samples(timing, scheme, attempts, rng),
         attempts=attempts,
         censored=censored,
         empirical_rho_u=float(ul_first.mean()),

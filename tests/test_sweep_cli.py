@@ -514,6 +514,21 @@ class TestCli:
             "", "configuration error: s_u sweep endpoint 0.9: "
             "s_u must lie in (0, t_u]; s_u must not exceed t_u\n")
 
+    @pytest.mark.parametrize("command", ["analytic", "validate", "snapshot"])
+    def test_timing_flag_only_where_it_is_read(self, capsys, command):
+        # only simulate and sweep write the wall_time_ms column
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--timing"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_timing_flag_appends_the_column(self, tmp_path: Path, capsys, command):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("rho_u = 0.6\nrho_d = 0.7\niterations = 20\nmode = simulate\n")
+        assert main([command, "--config", str(cfg), "--timing"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(",wall_time_ms")
+
     def test_missing_config_file(self):
         out = self.run_cli("analytic", "--config", "/nonexistent/path.cfg")
         assert out.returncode == 2
